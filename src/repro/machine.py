@@ -917,13 +917,9 @@ class Machine:
 
     def items_by_state(self) -> dict[int, dict[ItemState, list[int]]]:
         """item -> {state: [holder nodes]} over live nodes."""
-        result: dict[int, dict[ItemState, list[int]]] = {}
-        for node in self.nodes:
-            if not node.alive:
-                continue
-            for item, state in node.am.non_invalid_items():
-                result.setdefault(item, {}).setdefault(state, []).append(node.node_id)
-        return result
+        from repro.verify.invariants import items_by_state
+
+        return items_by_state(self)
 
     def check_invariants(self, ctx=None) -> None:
         """Assert the global protocol invariants on the current state

@@ -45,6 +45,9 @@ class _Frame:
 
 
 #: Index groups maintained incrementally (see module docstring).
+GROUPS = ("shared", "owned", "shared_ck", "inv_ck", "pre_commit")
+
+#: State -> its index group (None for INVALID).
 _GROUP_OF = {
     ItemState.INVALID: None,
     ItemState.SHARED: "shared",
@@ -70,13 +73,7 @@ class AttractionMemory:
         self._assoc = config.associativity
         self._frames: dict[int, _Frame] = {}
         self._sets: list[set[int]] = [set() for _ in range(self._n_sets)]
-        self._groups: dict[str, set[int]] = {
-            "shared": set(),
-            "owned": set(),
-            "shared_ck": set(),
-            "inv_ck": set(),
-            "pre_commit": set(),
-        }
+        self._groups: dict[str, set[int]] = {group: set() for group in GROUPS}
         # state -> its group's index set (None for ungrouped states):
         # the memoized form of _GROUP_OF + self._groups used by the
         # set_state hot path (same-group transitions compare the set
@@ -228,6 +225,11 @@ class AttractionMemory:
         (``owned``/``shared``/``shared_ck``/``inv_ck``/``pre_commit``)."""
         return set(self._groups[group])
 
+    def groups_holding(self, item: int) -> list[str]:
+        """Names of the group indexes listing ``item`` (an index audit:
+        exactly its state's group, or none when it is INVALID)."""
+        return [group for group, items in self._groups.items() if item in items]
+
     def owned_items(self) -> set[int]:
         """Items modified since the last recovery point (Exclusive or
         Master-Shared local copies — Section 3.3)."""
@@ -243,10 +245,13 @@ class AttractionMemory:
             yield base + offset, state
 
     def non_invalid_items(self) -> Iterator[tuple[int, ItemState]]:
-        for page in list(self._frames):
-            for item, state in self.page_items(page):
-                if state is not ItemState.INVALID:
-                    yield item, state
+        per_page = self._items_per_page
+        invalid = ItemState.INVALID
+        for page, frame in list(self._frames.items()):
+            base = page * per_page
+            for offset, state in enumerate(frame.states):
+                if state is not invalid:
+                    yield base + offset, state
 
     # -- bulk operations -------------------------------------------------------------
 

@@ -82,8 +82,10 @@ class Processor:
         proto_write = protocol.write
         next_ref = self._next_ref
         # compiled-backend hit drain (repro.kernel.compiled); None on
-        # the python and vector backends
-        drain = machine.kernel_drain
+        # the python and vector backends, and whenever a verify hook is
+        # attached: drained hits never reach the hooks' wrapped
+        # protocol.read/write
+        drain = None if machine.verify_hooks else machine.kernel_drain
 
         while True:
             if not node.alive:

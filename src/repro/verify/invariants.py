@@ -50,9 +50,10 @@ Checked invariants (codes cited by docs/PROTOCOL.md section 5):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Collection, Iterable
 
 from repro.coherence.directory import DirectoryEntry
+from repro.memory.attraction_memory import _GROUP_OF, GROUPS
 from repro.memory.states import ItemState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -110,31 +111,103 @@ class CheckContext:
     #: consistency is meaningful.
     cross_node: bool = True
 
+    def no_stricter_than(self, other: "CheckContext") -> bool:
+        """Is every violation under this context one under ``other``
+        too?  (Each field only relaxes: ``allow_*`` when set, the two
+        check switches when cleared.)"""
+        return (
+            self.allow_pre_commit >= other.allow_pre_commit
+            and self.allow_incomplete_pairs >= other.allow_incomplete_pairs
+            and self.allow_singleton_ck >= other.allow_singleton_ck
+            and self.check_directory <= other.check_directory
+            and self.cross_node <= other.cross_node
+        )
+
 
 #: Strict steady-state context.
 STRICT = CheckContext()
 
 
-def _items_by_state(machine: "Machine") -> dict[int, dict[ItemState, list[int]]]:
-    result: dict[int, dict[ItemState, list[int]]] = {}
+def _scan(machine: "Machine") -> tuple[dict, dict]:
+    """One pass over every live AM's frames: item -> {state: [holder
+    nodes]}, and per live node the items each state group must index."""
+    by_item: dict[int, dict[ItemState, list[int]]] = {}
+    groups: dict = {}
     for node in machine.nodes:
         if not node.alive:
             continue
+        node_id = node.node_id
+        actual: dict[str, set[int]] = {group: set() for group in GROUPS}
         for item, state in node.am.non_invalid_items():
-            result.setdefault(item, {}).setdefault(state, []).append(node.node_id)
-    return result
+            by_item.setdefault(item, {}).setdefault(state, []).append(node_id)
+            actual[_GROUP_OF[state]].add(item)
+        groups[node] = actual
+    return by_item, groups
+
+
+def items_by_state(machine: "Machine") -> dict[int, dict[ItemState, list[int]]]:
+    """item -> {state: [holder nodes]} over live nodes."""
+    return _scan(machine)[0]
 
 
 def check_machine(machine: "Machine", ctx: CheckContext = STRICT) -> list[Violation]:
     """Evaluate every invariant; returns the (possibly empty) breakage."""
     violations: list[Violation] = []
-    by_item = _items_by_state(machine)
-    if ctx.cross_node:
-        _check_copies(machine, by_item, ctx, violations)
-        if ctx.check_directory:
-            _check_directory(machine, by_item, ctx, violations)
-    _check_am_groups(machine, violations)
+    by_item, groups = _scan(machine)
+    _check_by_item(machine, by_item, ctx, violations)
+    for node, actual in groups.items():
+        _check_am_groups(node, actual, violations)
     return violations
+
+
+def check_items(
+    machine: "Machine", items: Collection[int], ctx: CheckContext = STRICT
+) -> list[Violation]:
+    """:func:`check_machine` restricted to ``items``.
+
+    The same per-item predicates run over only these items' copies,
+    pointers and entries; a node's AM-GROUP indexes are audited in full
+    when one of these items disagrees with them.  The verdict equals
+    :func:`check_machine`'s whenever every other item is known to pass
+    (the incremental runtime observer's dirty-set contract).
+    """
+    violations: list[Violation] = []
+    by_item: dict[int, dict[ItemState, list[int]]] = {}
+    stale = []
+    for node in machine.nodes:
+        if not node.alive:
+            continue
+        node_id = node.node_id
+        am = node.am
+        agrees = True
+        for item in items:
+            state = am.state(item)
+            group = _GROUP_OF[state]
+            if group is not None:
+                by_item.setdefault(item, {}).setdefault(state, []).append(node_id)
+            if agrees and am.groups_holding(item) != ([group] if group else []):
+                agrees = False
+        if not agrees:
+            stale.append(node)
+    _check_by_item(machine, by_item, ctx, violations)
+    for node in stale:
+        actual: dict[str, set[int]] = {group: set() for group in GROUPS}
+        for item, state in node.am.non_invalid_items():
+            actual[_GROUP_OF[state]].add(item)
+        _check_am_groups(node, actual, violations)
+    return violations
+
+
+def _check_by_item(
+    machine: "Machine",
+    by_item: dict[int, dict[ItemState, list[int]]],
+    ctx: CheckContext,
+    out: list[Violation],
+) -> None:
+    if ctx.cross_node:
+        _check_copies(machine, by_item, ctx, out)
+        if ctx.check_directory:
+            _check_directory(machine, by_item, ctx, out)
 
 
 # ----------------------------------------------------------------- copies
@@ -381,31 +454,20 @@ def _check_entry(
 # ----------------------------------------------------------------- AM indexes
 
 
-def _check_am_groups(machine: "Machine", out: list[Violation]) -> None:
-    from repro.memory.attraction_memory import _GROUP_OF
-
-    for node in machine.nodes:
-        if not node.alive:
-            continue
-        actual: dict[str, set[int]] = {
-            "shared": set(), "owned": set(), "shared_ck": set(),
-            "inv_ck": set(), "pre_commit": set(),
-        }
-        for item, state in node.am.non_invalid_items():
-            group = _GROUP_OF[state]
-            if group is not None:
-                actual[group].add(item)
-        for group, items in actual.items():
-            indexed = node.am.items_in_group(group)
-            if indexed != items:
-                out.append(
-                    Violation(
-                        "AM-GROUP",
-                        None,
-                        f"node {node.node_id} group {group!r} index "
-                        f"{sorted(indexed)} != frame states {sorted(items)}",
-                    )
+def _check_am_groups(node, actual: dict[str, set[int]], out: list[Violation]) -> None:
+    """Compare one live node's group indexes with the items its frame
+    states put in each group (``actual``)."""
+    for group, items in actual.items():
+        indexed = node.am.items_in_group(group)
+        if indexed != items:
+            out.append(
+                Violation(
+                    "AM-GROUP",
+                    None,
+                    f"node {node.node_id} group {group!r} index "
+                    f"{sorted(indexed)} != frame states {sorted(items)}",
                 )
+            )
 
 
 # ----------------------------------------------------------------- reporting
@@ -417,7 +479,7 @@ def dump_state(machine: "Machine") -> str:
     alive = [n.node_id for n in machine.nodes if n.alive]
     dead = [n.node_id for n in machine.nodes if not n.alive]
     lines.append(f"live nodes: {alive}" + (f"  dead: {dead}" if dead else ""))
-    for item, states in sorted(_items_by_state(machine).items()):
+    for item, states in sorted(items_by_state(machine).items()):
         parts = [
             f"{st.name}@{holders}" for st, holders in sorted(
                 states.items(), key=lambda kv: kv[0].value

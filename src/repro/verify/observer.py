@@ -19,6 +19,17 @@ Attach it with :meth:`Machine.attach_verifier` (or construct directly
 for a hand-driven machine).  Checks happen at *transition* granularity:
 the protocol's analytic transactions apply their state changes
 atomically, so every wrapped call observes a quiescent global state.
+
+Checking is *incremental*.  Every invariant is a predicate over one
+item's copies, pointer and directory entry, so the observer also wraps
+the AM and directory mutators and collects the items they touch (its
+*dirty set*); a check re-evaluates only those items, plus any item that
+violated at the previous check.  The full :func:`check_machine` audit
+runs instead at the first check, whenever the phase context tightens,
+whenever node liveness or pointer rehosting changes, after a bulk wipe
+(``am.clear``, ``Directory.wipe_node``/``clear_all``) and after an
+AM-GROUP violation.  Corruption that bypasses the AM/Directory API is
+therefore caught at the next full audit, not at the transition.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ from typing import TYPE_CHECKING, Callable
 from repro.verify.invariants import (
     CheckContext,
     Violation,
+    check_items,
     check_machine,
     dump_state,
     format_violations,
@@ -81,9 +93,18 @@ class InvariantObserver:
         #: singletons, metadata may reference the dead node.
         self.failed_window = False
         self.checks = 0
+        #: Checks that audited the whole machine (the rest re-checked
+        #: only the dirty set).
+        self.full_audits = 0
         #: Violations collected in ``raise_on_violation=False`` mode.
         self.violations: list[tuple[str, Violation]] = []
         self._wrapped = False
+        #: Items touched since the last check, plus those violating then.
+        self._dirty: set[int] = set()
+        #: The next check must audit the whole machine.
+        self._full_next = True
+        self._last_ctx = CheckContext()
+        self._last_members: tuple = ()
 
     # -- context -------------------------------------------------------
 
@@ -103,7 +124,7 @@ class InvariantObserver:
     def check_now(self, transition: str) -> list[Violation]:
         """Evaluate all invariants; raise or record on breakage."""
         self.checks += 1
-        violations = check_machine(self.machine, self.context())
+        violations = self._evaluate(self.context())
         stats = self.machine.stats
         stats.invariant_checks += 1
         if violations:
@@ -113,6 +134,30 @@ class InvariantObserver:
                     transition, violations, dump_state(self.machine)
                 )
             self.violations.extend((transition, v) for v in violations)
+        return violations
+
+    def _evaluate(self, ctx: CheckContext) -> list[Violation]:
+        """``check_machine(machine, ctx)``'s verdict, from the dirty set
+        when nothing since the last check could change another item's."""
+        members = tuple(
+            (node.alive, node.pointers_rehosted) for node in self.machine.nodes
+        )
+        if (
+            self._full_next
+            or members != self._last_members
+            or not ctx.no_stricter_than(self._last_ctx)
+        ):
+            self.full_audits += 1
+            violations = check_machine(self.machine, ctx)
+        else:
+            violations = check_items(self.machine, self._dirty, ctx)
+        self._last_ctx = ctx
+        self._last_members = members
+        # a violating item stays dirty until it checks clean; an index
+        # violation names no item, so it re-arms the full audit
+        self._dirty.clear()
+        self._dirty.update(v.item for v in violations if v.item is not None)
+        self._full_next = any(v.item is None for v in violations)
         return violations
 
     # -- phase notifications -------------------------------------------
@@ -140,11 +185,13 @@ class InvariantObserver:
     # -- wrapping ------------------------------------------------------
 
     def attach(self) -> "InvariantObserver":
-        """Wrap the machine's protocol entry points in-place."""
+        """Wrap the machine's protocol entry points (checks) and its AM
+        and directory mutators (dirty-set marking) in-place."""
         if self._wrapped:
             return self
         self._wrapped = True
-        protocol = self.machine.protocol
+        machine = self.machine
+        protocol = machine.protocol
 
         self._wrap(protocol, "read", self._after_op)
         self._wrap(protocol, "write", self._after_op)
@@ -154,45 +201,72 @@ class InvariantObserver:
             self._wrap(protocol, "commit_node", self._after_commit)
             self._wrap(protocol, "abort_establishment_node", self._after_commit)
             self._wrap(protocol, "recovery_scan_node", self._after_scan)
-        self._wrap(self.machine, "fail_node", self._after_fail)
+        self._wrap(machine, "fail_node", self._after_fail)
+
+        for node in machine.nodes:
+            self._wrap(node.am, "set_state", self._touch_arg(0))
+            self._wrap(node.am, "deallocate_page", self._touch_dropped)
+            self._wrap(node.am, "clear", self._touch_all)
+        directory = machine.directory
+        # entry() counts as a write: callers mutate the returned entry
+        self._wrap(directory, "entry", self._touch_arg(1))
+        self._wrap(directory, "move_entry", self._touch_arg(0))
+        self._wrap(directory, "drop_entry", self._touch_arg(1))
+        self._wrap(directory, "set_serving_node", self._touch_arg(0))
+        self._wrap(directory, "drop_pointer", self._touch_arg(0))
+        self._wrap(directory, "rebuild_pointer", self._touch_arg(0))
+        self._wrap(directory, "wipe_node", self._touch_all)
+        self._wrap(directory, "clear_all", self._touch_all)
         return self
 
-    def _wrap(self, obj, name: str, after: Callable[[str], None]) -> None:
+    def _wrap(self, obj, name: str, after: Callable[[str, tuple, object], None]) -> None:
         inner = getattr(obj, name)
 
         def wrapper(*args, **kwargs):
             result = inner(*args, **kwargs)
-            after(f"{name}{args!r}")
+            after(name, args, result)
             return result
 
         wrapper.__name__ = f"checked_{name}"
         setattr(obj, name, wrapper)
 
+    # -- dirty-set marking ------------------------------------------------
+
+    def _touch_arg(self, index: int) -> Callable[[str, tuple, object], None]:
+        mark = self._dirty.add
+        return lambda _name, args, _result: mark(args[index])
+
+    def _touch_dropped(self, _name: str, _args: tuple, dropped) -> None:
+        self._dirty.update(item for item, _state in dropped)
+
+    def _touch_all(self, _name: str, _args: tuple, _result) -> None:
+        self._full_next = True
+
     # -- per-transition hooks -------------------------------------------
 
-    def _after_op(self, transition: str) -> None:
+    def _after_op(self, name: str, args: tuple, _result) -> None:
         # reads and writes only run outside establishment episodes (the
         # coordinator parks every processor at the barriers), so their
         # occurrence ends any commit still tracked by inference
         if self.phase in ("create", "commit") and not self._pre_commit_left():
             self.phase = "normal"
-        self.check_now(transition)
+        self.check_now(f"{name}{args!r}")
 
-    def _after_create_step(self, transition: str) -> None:
+    def _after_create_step(self, name: str, args: tuple, _result) -> None:
         self.phase = "create"
-        self.check_now(transition)
+        self.check_now(f"{name}{args!r}")
 
-    def _after_commit(self, transition: str) -> None:
+    def _after_commit(self, name: str, args: tuple, _result) -> None:
         self.phase = "commit"
-        self.check_now(transition)
+        self.check_now(f"{name}{args!r}")
 
-    def _after_scan(self, transition: str) -> None:
+    def _after_scan(self, name: str, args: tuple, _result) -> None:
         self.phase = "recovery"
-        self.check_now(transition)
+        self.check_now(f"{name}{args!r}")
 
-    def _after_fail(self, transition: str) -> None:
+    def _after_fail(self, name: str, args: tuple, _result) -> None:
         self.failed_window = True
-        self.check_now(transition)
+        self.check_now(f"{name}{args!r}")
 
     def _pre_commit_left(self) -> bool:
         return any(
