@@ -173,8 +173,8 @@ def _run_sweep_harness(sweep, args: argparse.Namespace):
     return report
 
 
-#: CLI choices for --backend ("auto" negotiates compiled > vector > python).
-BACKEND_CHOICES = ("auto", "python", "vector", "compiled")
+#: CLI choices for --backend ("auto" negotiates compiled > python).
+BACKEND_CHOICES = ("auto", "python", "compiled")
 
 
 def _select_backend(args: argparse.Namespace) -> int | None:

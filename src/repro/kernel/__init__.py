@@ -9,20 +9,15 @@ dominant inner loops without changing a single observable result:
     available, and the baseline every other backend is digest-checked
     against.
 
-``vector``
-    numpy block acceleration: reference streams are generated in
-    vectorized blocks (SplitMix64 hashing, op classification, private
-    address arithmetic and the Zipf inverse-CDF inversion all run as
-    array ops with identical draw order), and the mesh fabric's XY
-    route tables are prebuilt in bulk.  Requires numpy (the
-    ``repro[vector]`` extra).
-
 ``compiled``
     A hand-built C extension (:mod:`repro.kernel._hotloops`, built by
-    ``python -m repro.kernel.build_ext``) that additionally drains runs
-    of consecutive cache *hits* — the single hottest path of a run —
-    inside one C call per processor batch.  Falls back to pure Python
-    wherever the extension is absent.
+    ``python -m repro.kernel.build_ext``): reference streams are
+    generated in blocks in C (SplitMix64 hashing, op classification,
+    address arithmetic and the Zipf inverse-CDF search, with identical
+    draw order), and runs of consecutive cache *hits* — the single
+    hottest path of a run — drain inside one C call per processor
+    batch.  Needs only a C compiler and the Python headers; without the
+    built extension ``auto`` falls back to ``python``.
 
 The hard contract is **bit-identity**: every backend must reproduce the
 committed golden digests (``tests/perf/golden/``) exactly.  Batch
@@ -48,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Registry order doubles as auto-negotiation preference (fastest
 #: first); ``python`` is always available and always last.
-BACKEND_NAMES = ("compiled", "vector", "python")
+BACKEND_NAMES = ("compiled", "python")
 
 
 class BackendUnavailable(RuntimeError):
@@ -104,10 +99,6 @@ class PythonBackend(KernelBackend):
 def _backend_class(name: str) -> type[KernelBackend]:
     if name == "python":
         return PythonBackend
-    if name == "vector":
-        from repro.kernel.vector import VectorBackend
-
-        return VectorBackend
     if name == "compiled":
         from repro.kernel.compiled import CompiledBackend
 
@@ -129,8 +120,8 @@ def get_backend(name: str) -> KernelBackend:
 
 
 def negotiate() -> KernelBackend:
-    """The fastest available backend (``compiled`` > ``vector`` >
-    ``python``); never raises — python is always available."""
+    """The fastest available backend (``compiled`` > ``python``);
+    never raises — python is always available."""
     for name in BACKEND_NAMES:
         cls = _backend_class(name)
         if cls.availability_error() is None:

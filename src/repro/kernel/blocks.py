@@ -1,10 +1,11 @@
 """Block-cached reference generation.
 
 The interpreter computes one :class:`~repro.workloads.base.Reference`
-per call to ``ref_at``; the accelerated backends instead materialise a
-whole *block* of consecutive references at once (vectorized with numpy
-where a generator exists, plain loops otherwise) and serve individual
-lookups from the cached block.
+per call to ``ref_at``; the compiled backend instead materialises a
+whole *block* of consecutive references at once (in C where the family
+has a generator, see :func:`repro.kernel.compiled.block_generator`;
+plain loops otherwise) and serves individual lookups from the cached
+block.
 
 Blocks are stored as three parallel lists (``think``, ``is_write``,
 ``addr``) rather than as Reference tuples: the compiled drain loop
@@ -28,8 +29,8 @@ from repro.workloads.base import Reference, ReferenceStream, Workload
 
 _tuple_new = tuple.__new__
 
-#: References materialised per block.  Large enough to amortise numpy
-#: call overhead, small enough that a rollback re-generating one block
+#: References materialised per block.  Large enough to amortise the
+#: per-call overhead, small enough that a rollback re-generating one block
 #: is negligible (a block regenerates in tens of microseconds).
 BLOCK_LEN = 4096
 
@@ -92,8 +93,9 @@ class BlockRefAt:
 
 def scalar_block_generator(workload: Workload) -> BlockGenerator:
     """Fallback generator: the workload's own scalar ``ref_at`` in a
-    loop.  Used for families without a vectorized generator so the
-    compiled drain still gets materialised blocks to walk."""
+    loop.  Used for families without a C generator (synthetic and
+    trace workloads) so the compiled drain still gets materialised
+    blocks to walk."""
     ref_at = workload.ref_at
 
     def gen(proc: int, base: int, count: int) -> tuple:

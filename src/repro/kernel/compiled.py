@@ -3,9 +3,10 @@
 Rides on the C extension :mod:`repro.kernel._hotloops` (built by
 ``python -m repro.kernel.build_ext``).  Two accelerations compose:
 
-- **block generation** — streams are wrapped exactly as the vector
-  backend wraps them (numpy generators when numpy is present, scalar
-  block materialisation otherwise), because the drain loop needs
+- **block generation** — streams are wrapped in a block cache whose
+  blocks come from the extension's generators (SPLASH, Zipf KV and scan
+  families, see :func:`block_generator`) or, for synthetic and trace
+  workloads, from the scalar materialisation loop; the drain loop needs
   materialised blocks to walk;
 - **hit draining** — the processor's single-stream batch loop hands
   runs of consecutive cache hits to ``_hotloops.drain_hits``, which
@@ -19,11 +20,18 @@ Rides on the C extension :mod:`repro.kernel._hotloops` (built by
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.kernel import BackendUnavailable, KernelBackend
-from repro.kernel.blocks import BlockRefAt, scalar_block_generator, wrap_stream
+from repro.kernel.blocks import (
+    BlockGenerator,
+    BlockRefAt,
+    scalar_block_generator,
+    wrap_stream,
+)
 from repro.memory.states import LineState
+from repro.workloads.base import Workload
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine import Machine
@@ -32,6 +40,42 @@ try:  # the artefact only exists after `python -m repro.kernel.build_ext`
     from repro.kernel import _hotloops
 except ImportError:  # pragma: no cover - exercised on unbuilt checkouts
     _hotloops = None
+
+
+def block_generator(workload: Workload) -> BlockGenerator:
+    """The C block generator for ``workload``'s family, bound to its
+    constants; the scalar fallback for families without one (synthetic
+    and trace workloads).  Needs the extension built."""
+    from repro.workloads.datacenter import ScanAnalytics, ZipfKV
+    from repro.workloads.splash import Water, _CalibratedWorkload
+
+    wl = workload
+    if isinstance(wl, _CalibratedWorkload):
+        if isinstance(wl, Water):
+            # water's shared path is hash arithmetic, computed in C
+            shared = (wl._forces, wl._forces_bytes, wl._ITERATIONS,
+                      wl._rpp, wl.n_procs)
+        else:
+            shared = wl._shared_addr
+        return partial(
+            _hotloops.splash_block, wl.seed, wl.item_bytes, wl._mean_think,
+            wl._w_thresh, wl._sw_thresh, wl._sr_thresh, wl._private,
+            wl._private_bytes, wl.WRITE_BLOCK_LEN, wl._write_window_cached,
+            shared,
+        )
+    if isinstance(wl, ZipfKV):
+        return partial(
+            _hotloops.zipf_block, wl.seed, wl.item_bytes, wl._mean_think,
+            wl._wf_thresh, wl._sf_thresh, wl._sessions, wl.clients_per_proc,
+            wl.session_items_per_client, wl._store, wl._cdf, wl._perm,
+        )
+    if isinstance(wl, ScanAnalytics):
+        return partial(
+            _hotloops.scan_block, wl.seed, wl.item_bytes, wl._mean_think,
+            wl._wf_thresh, wl._acc, wl.accumulator_items, wl.table_writes,
+            wl._table, wl._table_items, wl.stride_items, wl.n_procs,
+        )
+    return scalar_block_generator(wl)
 
 
 class BatchDrain:
@@ -70,7 +114,7 @@ class BatchDrain:
 
 
 class CompiledBackend(KernelBackend):
-    """C hit-drain loop + (numpy or scalar) block generation."""
+    """C block generation + C hit-drain loop."""
 
     name = "compiled"
 
@@ -85,13 +129,8 @@ class CompiledBackend(KernelBackend):
         return None
 
     def attach(self, machine: "Machine") -> None:
-        from repro.kernel.vector import make_block_generator, prebuild_routes
-
-        gen = make_block_generator(machine.workload)
-        if gen is None:
-            gen = scalar_block_generator(machine.workload)
+        gen = block_generator(machine.workload)
         for processor in machine.processors:
             for stream in processor.streams:
                 wrap_stream(stream, gen)
-        prebuild_routes(machine.fabric)
         machine.kernel_drain = BatchDrain(machine)

@@ -82,7 +82,7 @@ class Processor:
         proto_write = protocol.write
         next_ref = self._next_ref
         # compiled-backend hit drain (repro.kernel.compiled); None on
-        # the python and vector backends, and whenever a verify hook is
+        # the python backend, and whenever a verify hook is
         # attached: drained hits never reach the hooks' wrapped
         # protocol.read/write
         drain = None if machine.verify_hooks else machine.kernel_drain

@@ -408,7 +408,7 @@ def check_regression(
 ) -> list[str]:
     """Compare ``report`` against a committed baseline JSON.
 
-    Rows compare per ``(key, backend)`` — a fast vector row can never
+    Rows compare per ``(key, backend)`` — a fast compiled row can never
     mask a regression in the python row of the same key.  Baseline rows
     without a ``backend`` field count as ``python``.  Returns a list of
     human-readable failures; empty means no matching row regressed by

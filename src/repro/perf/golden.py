@@ -64,8 +64,8 @@ class GoldenCell:
         if self.app == "trace":
             # replayed-trace cell: record the water streams in memory
             # and replay them through TraceWorkload, pinning the trace
-            # replay machinery (no vector generator exists for it, so
-            # it also pins the scalar block-materialisation fallback)
+            # replay machinery (no C generator exists for it, so it
+            # also pins the scalar block-materialisation fallback)
             from repro.workloads.traces import TraceWorkload, record_trace
 
             source = make_workload(
@@ -98,10 +98,10 @@ GOLDEN_CELLS = (
     # pattern (and the Zipf sampler's bit-exactness) the same way
     GoldenCell(name="zipf9_faultfree", app="zipf"),
     # the streaming scan pins the attraction-memory pressure path and
-    # the scan generator's vector kernel
+    # the scan generator's C kernel
     GoldenCell(name="scan9_faultfree", app="scan"),
     # a replayed trace pins the trace machinery and the scalar
-    # block-materialisation fallback (traces have no vector generator)
+    # block-materialisation fallback (traces have no C generator)
     GoldenCell(name="trace9_faultfree", app="trace"),
 )
 

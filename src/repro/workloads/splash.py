@@ -99,9 +99,6 @@ class _CalibratedWorkload(Workload):
         self._pr_blocks: dict[int, tuple[int, int]] = {}
         self._priv_ready = True
 
-    def __post_layout(self) -> None:  # pragma: no cover - helper contract
-        pass
-
     @property
     def _p_write(self) -> float:
         return self.write_density / (self.read_density + self.write_density)
@@ -222,25 +219,6 @@ class _CalibratedWorkload(Workload):
     def _scale_to_procs(self, value: int, minimum: int) -> int:
         scaled = value * self.REFERENCE_PROCS // max(1, self.n_procs)
         return max(minimum, scaled)
-
-    @property
-    def _write_window(self) -> int:
-        return self._write_window_cached
-
-    def _private_addr(self, proc: int, index: int, is_write: bool, h: int) -> int:
-        if is_write:
-            return self._pick_addr(
-                self._private[proc],
-                self._private_bytes,
-                proc,
-                index,
-                0x9122,
-                self.WRITE_BLOCK_LEN,
-                self._write_window_cached,
-            )
-        return self._pick_addr(
-            self._private[proc], self._private_bytes, proc, index, 0x9121, 4096, 48
-        )
 
     def _shared_addr(self, proc: int, index: int, is_write: bool, h: int) -> int:
         raise NotImplementedError

@@ -16,6 +16,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -44,11 +45,34 @@ def _spawn_worker(tmp_path: Path, *extra: str) -> tuple[subprocess.Popen, tuple[
          "--listen", "127.0.0.1:0", "--parallel", "1", *extra],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True, bufsize=1,
+        # its own session, so teardown can kill the worker's process
+        # pool with it: pool children outlive a SIGKILLed or
+        # --max-tasks-exited parent otherwise
+        start_new_session=True,
     )
     line = proc.stdout.readline()
     match = _ANNOUNCE.search(line)
     assert match, f"worker announced nothing parseable: {line!r}"
     return proc, (match.group(1), int(match.group(2)))
+
+
+def _session_members(sid: int) -> list[int]:
+    """Live (non-zombie) processes of session ``sid``; empty where
+    ``/proc`` does not exist."""
+    proc_root = Path("/proc")
+    members = []
+    for entry in proc_root.iterdir() if proc_root.is_dir() else ():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:  # exited while we looked
+            continue
+        # after the parenthesised command: state ppid pgrp session ...
+        state, _ppid, _pgrp, session = stat.rsplit(")", 1)[1].split()[:4]
+        if int(session) == sid and state != "Z":
+            members.append(int(entry.name))
+    return members
 
 
 def _store_payloads(root: Path) -> dict[str, dict]:
@@ -78,10 +102,16 @@ def workers(tmp_path):
 
     yield _spawn
     for proc in spawned:
-        if proc.poll() is None:
-            proc.kill()
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)  # worker + pool children
+        except ProcessLookupError:  # the whole session already exited
+            pass
         proc.wait(timeout=10)
         proc.stdout.close()
+        deadline = time.monotonic() + 10
+        while (left := _session_members(proc.pid)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not left, f"worker session {proc.pid} survived teardown: {left}"
 
 
 def test_two_workers_match_serial_bit_identically(tmp_path, workers):

@@ -1,10 +1,12 @@
 """Bit-identity of block-based reference generation.
 
-Every block generator — the numpy kernels and the scalar
-materialisation fallback — must reproduce the workload's own scalar
-``ref_at`` draw for draw, and the ``BlockRefAt`` cache must be
+Every block generator — the compiled backend's C kernels and the
+scalar materialisation fallback — must reproduce the workload's own
+scalar ``ref_at`` draw for draw, and the ``BlockRefAt`` cache must be
 transparent across block boundaries, stream rewinds, and stream
 migration (process switches)."""
+
+from functools import partial
 
 import pytest
 
@@ -14,18 +16,15 @@ from repro.kernel.blocks import (
     scalar_block_generator,
     wrap_stream,
 )
+from repro.kernel.compiled import CompiledBackend
 from repro.workloads.base import Reference, ReferenceStream
 from repro.workloads.datacenter import ScanAnalytics, ZipfKV
 from repro.workloads.splash import BarnesHut, Cholesky, Mp3d, Water
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy-free environments
-    HAVE_NUMPY = False
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
+needs_extension = pytest.mark.skipif(
+    not CompiledBackend.is_available(),
+    reason="needs the _hotloops extension (python -m repro.kernel.build_ext)",
+)
 
 
 def _families():
@@ -51,32 +50,27 @@ def _assert_block_matches(wl, gen, proc, base, count):
         )
 
 
-@needs_numpy
+@needs_extension
 @pytest.mark.parametrize(
     "wl", _families(), ids=lambda w: f"{w.name}-{w.n_procs}"
 )
 def test_vector_generators_bit_identical(wl):
-    from repro.kernel.vector import make_block_generator
+    """The compiled backend's C block generators equal ``ref_at``."""
+    from repro.kernel.compiled import block_generator
 
-    gen = make_block_generator(wl)
-    assert gen is not None, "every SPLASH/datacenter family has a kernel"
+    gen = block_generator(wl)
+    assert isinstance(gen, partial), "every SPLASH/datacenter family has a kernel"
     for proc in (0, wl.n_procs - 1):
-        # straddle block-cadence boundaries and odd lengths on purpose
-        for base, count in ((0, 257), (BLOCK_LEN - 3, 7), (2 * BLOCK_LEN, 64)):
+        # straddle block-cadence boundaries and odd lengths on purpose;
+        # WRITE_BLOCK_LEN is the private-write block boundary
+        for base, count in ((0, 257), (BLOCK_LEN - 3, 7), (2 * BLOCK_LEN, 64),
+                            (Water.WRITE_BLOCK_LEN - 3, 7)):
             _assert_block_matches(wl, gen, proc, base, count)
-
-
-@needs_numpy
-def test_vector_generator_unknown_family_is_none():
-    from repro.kernel.vector import make_block_generator
-    from repro.workloads.synthetic import UniformShared
-
-    assert make_block_generator(UniformShared(4, refs_per_proc=100)) is None
 
 
 def test_scalar_fallback_bit_identical():
     """The compiled backend's block materialisation for families
-    without a vector kernel."""
+    without a C kernel."""
     from repro.workloads.synthetic import UniformShared
 
     wl = UniformShared(4, refs_per_proc=500, seed=17)
@@ -111,15 +105,17 @@ def test_wrap_stream_is_idempotent():
     assert stream._ref_at is wrapped
 
 
-@needs_numpy
+@needs_extension
 def test_block_column_types_are_plain_python():
     """The drain loop and the scalar path both consume the columns, so
-    they must hold plain ints/bools (no numpy scalars leaking into
-    protocol arithmetic or serialized results)."""
-    from repro.kernel.vector import make_block_generator
+    they must hold plain ints/bools, exactly the types ``ref_at``
+    returns (nothing else may leak into protocol arithmetic or
+    serialized results)."""
+    from repro.kernel.compiled import block_generator
 
-    wl = ZipfKV(9, seed=7)
-    think, is_write, addr = make_block_generator(wl)(0, 0, 16)
-    assert all(type(t) is int for t in think)
-    assert all(type(w) is bool for w in is_write)
-    assert all(type(a) is int for a in addr)
+    for wl in (Water(9, seed=7), Mp3d(9, seed=7), ZipfKV(9, seed=7),
+               ScanAnalytics(9, seed=7)):
+        think, is_write, addr = block_generator(wl)(0, 0, 256)
+        assert all(type(t) is int for t in think)
+        assert all(type(w) is bool for w in is_write)
+        assert all(type(a) is int for a in addr)

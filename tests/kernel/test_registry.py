@@ -1,13 +1,16 @@
 """The kernel-backend registry: naming, negotiation, availability
 errors, and the process-default plumbing the CLI rides on."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-import repro.kernel as kernel
+import repro.kernel.compiled as compiled
 from repro.kernel import (
     BACKEND_NAMES,
     BackendUnavailable,
-    KernelBackend,
     PythonBackend,
     available_backends,
     get_backend,
@@ -38,7 +41,8 @@ def test_unknown_backend_name_rejected():
 
 def test_negotiation_prefers_fastest_available():
     """auto must resolve to the first available name in registry order
-    (compiled > vector > python)."""
+    (compiled > python)."""
+    assert BACKEND_NAMES == ("compiled", "python")
     best = negotiate()
     assert best.name == available_backends()[0]
     assert [n for n in BACKEND_NAMES if n in available_backends()] == list(
@@ -63,26 +67,16 @@ def test_resolve_backend_follows_default_and_auto():
 
 
 def test_unavailable_backend_raises_with_hint(monkeypatch):
-    """An explicitly requested unavailable backend must fail loudly,
-    carrying an actionable install hint (what the CLI prints)."""
-    err = BackendUnavailable("vector", "numpy is not installed",
-                            "install the vector extra: pip install 'repro[vector]'")
-
-    class Stub(KernelBackend):
-        name = "vector"
-
-        @classmethod
-        def availability_error(cls):
-            return err
-
-    monkeypatch.setattr(kernel, "_backend_class",
-                        lambda name: Stub if name == "vector"
-                        else kernel.PythonBackend)
+    """Without the built extension, an explicit ``compiled`` request
+    must fail loudly, carrying an actionable build hint (what the CLI
+    prints), while negotiation falls back to python."""
+    monkeypatch.setattr(compiled, "_hotloops", None)
+    assert available_backends() == ("python",)
     with pytest.raises(BackendUnavailable) as exc_info:
-        get_backend("vector")
-    assert exc_info.value.hint.startswith("install the vector extra")
+        get_backend("compiled")
+    assert exc_info.value.hint == "build it with: python -m repro.kernel.build_ext"
     with pytest.raises(BackendUnavailable):
-        set_default_backend("vector")
+        set_default_backend("compiled")
     # negotiation and auto must silently skip it, never raise
     assert negotiate().name == "python"
     assert set_default_backend("auto") == "python"
@@ -107,3 +101,30 @@ def test_cli_backend_selection_is_invocation_scoped(tmp_path, capsys):
     capsys.readouterr()
     assert code == EXIT_OK
     assert get_default_backend() == "python"
+
+
+def test_cli_rejects_removed_vector_backend(capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exc_info:
+        main(["run", "water", "--backend", "vector"])
+    assert exc_info.value.code == 2
+    assert "invalid choice: 'vector'" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not compiled.CompiledBackend.is_available(),
+                    reason="needs the _hotloops extension")
+def test_compiled_backend_never_imports_numpy():
+    """Building and running a compiled-backend machine loads no numpy
+    (checked in a fresh interpreter, whatever this one has imported)."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from repro import ArchConfig, Machine, make_workload\n"
+        "for app in ('water', 'mp3d', 'zipf', 'scan'):\n"
+        "    wl = make_workload(app, n_procs=4, scale=0.0005, seed=1)\n"
+        "    Machine(ArchConfig(n_nodes=4), wl, backend='compiled').run()\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    subprocess.run([sys.executable, "-c", script], check=True, timeout=300)
