@@ -135,17 +135,16 @@ def _add_sweep_orchestration_args(parser: argparse.ArgumentParser) -> None:
              "--token accept this coordinator, all others are rejected")
 
 
-def _make_executor(args: argparse.Namespace):
-    """The DistributedExecutor selected by ``--workers``, or None for
-    the default local process pool."""
+def _make_pool(args: argparse.Namespace):
+    """The Coordinator selected by ``--workers``, or None for the
+    default local process pool."""
     if not getattr(args, "workers", None):
         return None
-    from repro.distributed import DistributedExecutor, parse_workers
+    from repro.distributed import Coordinator, parse_workers
 
     log = None if args.quiet else (lambda msg: print(f"  [dispatch] {msg}"))
-    return DistributedExecutor(
+    return Coordinator(
         parse_workers(args.workers),
-        task_timeout=args.task_timeout,
         heartbeat_interval=args.heartbeat_interval,
         heartbeat_misses=args.heartbeat_misses,
         connect_retries=args.connect_retries,
@@ -165,7 +164,7 @@ def _run_sweep_harness(sweep, args: argparse.Namespace):
         read_cache=not args.no_cache,
         progress=progress,
         task_timeout=args.task_timeout,
-        executor=_make_executor(args),
+        pool=_make_pool(args),
     )
     print()
     print(report.format())
@@ -406,7 +405,7 @@ def _cmd_campaign(args: argparse.Namespace, on_cell=None) -> int:
         return rc
     cfg = _campaign_config_from_args(args)
     runner = CampaignRunner(cfg, store=_make_store(args))
-    executor = _make_executor(args)
+    pool = _make_pool(args)
     print(
         f"campaign: {cfg.seeds} seeded cells of {cfg.app} on "
         f"{cfg.n_nodes} nodes (MTBF {cfg.mtbf_cycles} cycles, "
@@ -423,7 +422,7 @@ def _cmd_campaign(args: argparse.Namespace, on_cell=None) -> int:
         read_cache=not args.no_cache,
         task_timeout=args.task_timeout,
         progress=progress,
-        executor=executor,
+        pool=pool,
         on_cell=on_cell,
     )
     if args.report:
@@ -679,15 +678,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     def _campaign_thread() -> None:
         try:
             runner = CampaignRunner(cfg, store=_make_store(args))
-            executor = _make_executor(args)
-            if executor is not None:
-                state.set_worker_probe(
-                    lambda: (
-                        executor.coordinator.snapshot()
-                        if executor.coordinator is not None
-                        else None
-                    )
-                )
+            pool = _make_pool(args)
+            if pool is not None:
+                state.set_worker_probe(pool.snapshot)
             state.campaign_started(
                 cfg.to_dict(), total=cfg.seeds, parallel=args.parallel
             )
@@ -700,7 +693,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 read_cache=not args.no_cache,
                 task_timeout=args.task_timeout,
                 progress=progress,
-                executor=executor,
+                pool=pool,
                 on_cell=state.cell_done,
             )
             state.campaign_finished(report.to_dict())

@@ -13,8 +13,9 @@ the whole thing into a long-running observable service.
   and the task-kind allowlist (no code crosses the wire);
 - :mod:`repro.distributed.worker` — the ``repro worker`` daemon;
 - :mod:`repro.distributed.registry` — coordinator-side worker health;
-- :mod:`repro.distributed.coordinator` — dispatch, heartbeats,
-  reassignment, and the :class:`DistributedExecutor` front end;
+- :mod:`repro.distributed.coordinator` — the :class:`Coordinator`
+  pool: dialling, heartbeats and reassignment, driven by
+  :func:`repro.orch.executor.run_tasks` like a local process pool;
 - :mod:`repro.distributed.serve` — the ``repro serve`` HTTP API and
   live dashboard.
 """
@@ -23,7 +24,7 @@ from repro.distributed.coordinator import (
     Coordinator,
     DispatchError,
     DispatchStats,
-    DistributedExecutor,
+    WorkerError,
     ping_workers,
     shutdown_workers,
 )
@@ -55,7 +56,6 @@ __all__ = [
     "DashboardServer",
     "DispatchError",
     "DispatchStats",
-    "DistributedExecutor",
     "FrameError",
     "FrameWriter",
     "MAX_FRAME_BYTES",
@@ -64,6 +64,7 @@ __all__ = [
     "ServeState",
     "TASK_KINDS",
     "WorkerDaemon",
+    "WorkerError",
     "WorkerHandle",
     "WorkerRegistry",
     "WorkerState",

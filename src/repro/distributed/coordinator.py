@@ -1,34 +1,42 @@
-"""The dispatch coordinator: shard cells across worker daemons.
+"""The dispatch coordinator: a pool of worker daemons.
 
-:class:`Coordinator.run` is the distributed analogue of
-:func:`repro.orch.executor.run_tasks` — same payloads-in,
-:class:`~repro.orch.executor.TaskOutcome`-out contract, same
-completion-order streaming — so the orchestrator and the campaign
-runner consume it unchanged and their store-before-journal crash
-discipline (and therefore ``--resume``) holds under either executor.
+:class:`Coordinator` is a ``concurrent.futures``-style executor —
+``submit(fn, payload) -> Future`` and ``shutdown(wait, cancel_futures)``
+— whose slots live in ``repro worker`` daemons.
+:func:`repro.orch.executor.run_tasks` drives it exactly as it drives a
+local ``ProcessPoolExecutor``, so retry, backoff, per-cell timeout,
+serial fallback and outcome accounting exist only there, and the
+store-before-journal crash discipline (and therefore ``--resume``)
+holds for either pool.  The coordinator keeps what is distributed:
 
-Fault model, mirroring the paper's machine at harness scale:
-
+- **dialling**: every worker is dialled with bounded redial, then the
+  handshake checks versions and the shared token;
+- **liveness**: one reader thread per worker, and heartbeats;
 - **worker death** (socket EOF/reset, or ``heartbeat_misses``
-  consecutive missed pongs): every cell in flight on that worker is
-  *reassigned* to the surviving workers.  Reassignment does not consume
-  the cell's retry budget — the cell did nothing wrong.
-- **cell failure** (the worker answered ``ok: false``): bounded retry
-  with ``max_retries``, like the local pool.
-- **cell timeout** (``task_timeout`` seconds without an answer while
-  the worker is otherwise live): the assignment is abandoned — a late
-  answer is discarded by assignment id — and the cell retried.
-- **total worker loss**: remaining cells degrade to in-process serial
-  execution (exactly the local executor's ``BrokenProcessPool``
-  behaviour), unless ``local_fallback=False``.
+  consecutive missed pongs): every cell in flight on that worker moves
+  to the survivors.  Its future just stays pending, so the move uses
+  none of the cell's retry budget — the cell did nothing wrong;
+- **total worker loss**: :meth:`Coordinator.live_slots` and
+  :meth:`Coordinator.submit` raise ``BrokenExecutor``, which
+  ``run_tasks`` (reading ``live_slots`` on every pass) answers by
+  running every unanswered cell serially in-process, as for a dead
+  local pool.  The abandoned futures stay pending until ``shutdown``
+  cancels them.  With ``local_fallback=False`` the same two calls
+  raise :class:`DispatchError` instead.
+
+A cell a worker answers with ``ok: false`` fails its future with
+:class:`WorkerError`.  A cancelled future (``run_tasks`` abandoning a
+timed-out cell) frees its worker slot, and a late answer is discarded
+by task id.
 
 Exactly-once *effects* come for free from content addressing: a cell
-reassigned after an answer was lost in flight recomputes the same
+moved after an answer was lost in flight recomputes the same
 deterministic result under the same key, and the store's atomic
 same-content write makes the duplicate harmless.
 
-One reader thread per worker turns the socket into events on a queue;
-the dispatch thread owns all registry state and all sends.
+Once dialling is done, reader threads and the submitting thread only
+post events to a queue; one dispatch thread owns the registry and all
+sends, and settles the futures.
 """
 
 from __future__ import annotations
@@ -37,16 +45,30 @@ import queue
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from concurrent.futures import (
+    BrokenExecutor,
+    Executor,
+    Future,
+    InvalidStateError,
+)
+from concurrent.futures import wait as wait_futures
+from dataclasses import asdict, dataclass
 
 from repro.distributed import framing, protocol
 from repro.distributed.framing import ConnectionClosed, FrameError
 from repro.distributed.registry import WorkerHandle, WorkerRegistry, WorkerState
-from repro.orch.executor import TaskOutcome, _run_serial
 
 
 class DispatchError(RuntimeError):
     """The coordinator cannot run at all (e.g. no worker reachable)."""
+
+
+class WorkerError(Exception):
+    """A worker answered a cell with ``ok: false``; the message is the
+    worker's own error text (``Type: message``), which ``run_tasks``
+    reports unchanged."""
+
+    relayed = True
 
 
 def _shutdown_close(sock: socket.socket) -> None:
@@ -68,56 +90,42 @@ def _shutdown_close(sock: socket.socket) -> None:
         pass
 
 
+def _settle(future: Future, value=None, error: BaseException | None = None) -> None:
+    """Complete ``future`` unless ``run_tasks`` already cancelled it."""
+    try:
+        if error is None:
+            future.set_result(value)
+        else:
+            future.set_exception(error)
+    except InvalidStateError:
+        pass
+
+
 @dataclass
 class DispatchStats:
-    """What one coordinator run did, for reports and the dashboard."""
+    """Fleet facts of one coordinator, for reports and the dashboard."""
 
     n_workers: int = 0
     connected: int = 0
-    completed: int = 0
-    failed: int = 0
     reassignments: int = 0
     worker_deaths: int = 0
-    timeouts: int = 0
-    retries: int = 0
-    local_fallback_cells: int = 0
-    workers: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_workers": self.n_workers,
-            "connected": self.connected,
-            "completed": self.completed,
-            "failed": self.failed,
-            "reassignments": self.reassignments,
-            "worker_deaths": self.worker_deaths,
-            "timeouts": self.timeouts,
-            "retries": self.retries,
-            "local_fallback_cells": self.local_fallback_cells,
-            "workers": list(self.workers),
-        }
 
 
 @dataclass
-class _Assignment:
-    """One cell sent to one worker (dies with the assignment)."""
+class _Cell:
+    """One submitted cell, from ``submit`` until its future settles."""
 
-    task_id: int
-    index: int
+    future: Future
+    kind: str
     payload: dict
-    attempt: int
-    worker: WorkerHandle
-    sent_at: float
 
 
-class Coordinator:
-    """Shards one batch of payloads across the configured workers."""
+class Coordinator(Executor):
+    """A pool whose slots are the configured worker daemons'."""
 
     def __init__(
         self,
         addrs: list[tuple[str, int]],
-        task_timeout: float | None = None,
-        max_retries: int = 1,
         heartbeat_interval: float = 1.0,
         heartbeat_misses: int = 3,
         connect_timeout: float = 5.0,
@@ -132,8 +140,6 @@ class Coordinator:
         if connect_retries < 1:
             raise DispatchError("connect_retries must be at least 1")
         self.registry = WorkerRegistry(addrs)
-        self.task_timeout = task_timeout
-        self.max_retries = max_retries
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_misses = heartbeat_misses
         self.connect_timeout = connect_timeout
@@ -146,15 +152,72 @@ class Coordinator:
         self._events: queue.Queue = queue.Queue()
         self._sockets: dict[int, socket.socket] = {}  # id(worker) -> sock
         self._writers: dict[int, framing.FrameWriter] = {}
-        self._threads: list[threading.Thread] = []
-        self._lock = threading.Lock()  # guards snapshot() vs dispatch mutation
+        self._lock = threading.Lock()  # snapshot()/live_slots() vs dispatch
+        self._pending: list[_Cell] = []  # submitted, waiting for a slot
+        self._assigned: dict[int, tuple[_Cell, WorkerHandle]] = {}  # task_id ->
+        self._next_task_id = 0
+        self._unfinished: set[Future] = set()
+        self._started = False
+        self._closed = False
+        #: Raised by submit/live_slots once the pool cannot run cells.
+        self._broken: Exception | None = None
+        self._dispatcher: threading.Thread | None = None
 
-    # -- observability ---------------------------------------------------
+    # -- the executor interface ------------------------------------------
+
+    def submit(self, fn, payload: dict) -> Future:
+        """Queue one cell of ``fn``'s registered task kind."""
+        kind = protocol.kind_for(fn)
+        if kind is None:
+            raise DispatchError(
+                f"{fn.__module__}.{fn.__qualname__} is not a "
+                "registered distributed task kind"
+            )
+        if self._closed:
+            raise RuntimeError("cannot submit to a shut-down coordinator")
+        self._start()
+        if self._broken is not None:
+            raise self._broken
+        future: Future = Future()
+        self._unfinished.add(future)
+        future.add_done_callback(self._unfinished.discard)
+        self._events.put(("submit", None, _Cell(future, kind, payload)))
+        return future
+
+    def live_slots(self) -> int:
+        """Cells the live workers run at once; changes as workers join
+        and die.  Raises the pool's failure once every worker is dead,
+        like :meth:`submit`."""
+        self._start()
+        with self._lock:
+            if self._broken is not None:
+                raise self._broken
+            return sum(w.slots for w in self.registry.up())
+
+    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
+        """Stop dispatching and close every worker connection (the
+        daemons stay up for reuse)."""
+        if cancel_futures:
+            for future in list(self._unfinished):
+                future.cancel()
+        if wait and self._broken is None:
+            wait_futures(list(self._unfinished))
+        self._closed = True
+        if self._dispatcher is not None:
+            self._dispatcher.join(5.0)
+        while not self._events.empty():  # a welcome nobody handled
+            event = self._events.get_nowait()
+            if event[0] == "welcome":
+                _shutdown_close(event[3])
+        for sock in list(self._sockets.values()):
+            _shutdown_close(sock)
+        self._sockets.clear()
+        self._writers.clear()
 
     def snapshot(self) -> dict:
-        """Thread-safe view for ``repro serve``'s worker table."""
+        """Thread-safe fleet view for reports and ``repro serve``."""
         with self._lock:
-            stats = self.stats.to_dict()
+            stats = asdict(self.stats)
             stats["workers"] = self.registry.snapshot()
         return stats
 
@@ -169,17 +232,40 @@ class Coordinator:
         )
         return self.connect_retries * self.connect_timeout + backoff
 
-    def _connect_all(self, worker_fn_kind: str) -> None:
-        threads = []
+    def _start(self) -> None:
+        """Dial every worker and start dispatching (once, on first use)."""
+        if self._started:
+            return
+        self._started = True
         for worker in self.registry:
-            thread = threading.Thread(
+            threading.Thread(
                 target=self._connect_one, args=(worker,),
                 name=f"connect-{worker.name}", daemon=True,
+            ).start()
+        # drain connection results before the first assignment so the very
+        # first cells fill the slots of every worker that came up; once
+        # the first wave is in, stop waiting — a straggler still inside
+        # its retry loop joins the pool mid-run through the dispatch loop
+        deadline = time.monotonic() + self._connect_budget()
+        first_wave = time.monotonic() + self.connect_timeout
+        while time.monotonic() < deadline:
+            if not any(w.state is WorkerState.CONNECTING for w in self.registry):
+                break
+            if self.registry.up() and time.monotonic() >= first_wave:
+                break
+            self._drain()
+        if not self.registry.up():
+            reasons = ", ".join(
+                f"{w.name}: {w.death_reason or 'still dialling'}"
+                for w in self.registry
             )
-            thread.start()
-            threads.append(thread)
-        for thread in threads:
-            thread.join(self._connect_budget() + 1.0)
+            with self._lock:
+                self._broken = DispatchError(f"no worker reachable ({reasons})")
+            raise self._broken
+        self._dispatcher = threading.Thread(
+            target=self._dispatch_loop, name="coordinator-dispatch", daemon=True
+        )
+        self._dispatcher.start()
 
     def _connect_one(self, worker: WorkerHandle) -> None:
         """Dial one worker, retrying with exponential backoff.
@@ -215,7 +301,10 @@ class Coordinator:
                     f"connect failed after {attempt} attempt(s): {exc}",
                 ))
                 return
-            self._events.put(("welcome", worker, welcome, sock))
+            if self._closed:  # a straggler landing after shutdown
+                _shutdown_close(sock)
+            else:
+                self._events.put(("welcome", worker, welcome, sock))
             return
 
     def _start_reader(self, worker: WorkerHandle, sock: socket.socket) -> None:
@@ -231,222 +320,113 @@ class Coordinator:
                     return
                 self._events.put(("frame", worker, message))
 
-        thread = threading.Thread(
+        threading.Thread(
             target=read_loop, name=f"reader-{worker.name}", daemon=True
-        )
-        thread.start()
-        self._threads.append(thread)
+        ).start()
 
-    def _drop_worker(self, worker: WorkerHandle, reason: str,
-                     requeue, counts_as_death: bool = True) -> None:
-        if worker.state is WorkerState.DEAD:
+    def _drop_worker(self, worker: WorkerHandle, reason: str) -> None:
+        """Mark ``worker`` dead and move its in-flight cells back to the
+        pending list; their futures stay pending."""
+        if worker.state is WorkerState.DEAD or self._closed:
             return
         with self._lock:
             stranded = worker.mark_dead(reason)
-            if counts_as_death:
-                self.stats.worker_deaths += 1
+            self.stats.worker_deaths += 1
+            self.stats.reassignments += len(stranded)
         self._log(f"worker {worker.name} lost ({reason}); "
                   f"reassigning {len(stranded)} in-flight cell(s)")
         sock = self._sockets.pop(id(worker), None)
         self._writers.pop(id(worker), None)
         if sock is not None:
             _shutdown_close(sock)
-        requeue(stranded, reassigned=True)
+        for task_id in stranded:
+            cell, _worker = self._assigned.pop(task_id)
+            self._pending.append(cell)
 
-    def close(self) -> None:
-        """Close every worker connection (workers stay up for reuse)."""
-        for sock in list(self._sockets.values()):
-            _shutdown_close(sock)
-        self._sockets.clear()
-        self._writers.clear()
+    # -- the dispatch thread ---------------------------------------------
 
-    # -- the run ---------------------------------------------------------
-
-    def run(self, payloads: list[dict], kind: str, on_start=None):
-        """Yield one :class:`TaskOutcome` per payload, completion order."""
-        if kind not in protocol.TASK_KINDS:
-            raise DispatchError(f"unknown task kind {kind!r}")
-        try:
-            yield from self._run(payloads, kind, on_start)
-        finally:
-            self.close()
-
-    def _run(self, payloads: list[dict], kind: str, on_start):
-        pending: list[tuple[int, dict, int]] = [
-            (i, p, 1) for i, p in enumerate(payloads)
-        ]
-        assignments: dict[int, _Assignment] = {}
-        started: set[int] = set()
-        terminal = 0
-        next_task_id = 0
+    def _dispatch_loop(self) -> None:
         last_heartbeat = time.monotonic()
-
-        self._connect_all(kind)
-        # drain connection results before first assignment so the very
-        # first cells spread across every worker that came up; once the
-        # first wave is in, stop waiting — a straggler still inside its
-        # retry loop joins the pool mid-run through the dispatch drain
-        deadline = time.monotonic() + self._connect_budget()
-        first_wave = time.monotonic() + self.connect_timeout
-        while time.monotonic() < deadline:
-            if not any(w.state is WorkerState.CONNECTING for w in self.registry):
-                break
-            if self.registry.up() and time.monotonic() >= first_wave:
-                break
-            self._drain_events(assignments, pending, block=True)
-        if not self.registry.up():
-            reasons = ", ".join(
-                f"{w.name}: {w.death_reason or 'still dialling'}"
-                for w in self.registry
-            )
-            raise DispatchError(f"no worker reachable ({reasons})")
-
-        def requeue(stranded_ids: list[int], reassigned: bool = False) -> None:
-            for task_id in stranded_ids:
-                assignment = assignments.pop(task_id, None)
-                if assignment is None:
-                    continue
-                pending.append(
-                    (assignment.index, assignment.payload, assignment.attempt)
-                )
-                if reassigned:
-                    with self._lock:
-                        self.stats.reassignments += 1
-
-        while terminal < len(payloads):
-            # -- total worker loss: degrade like a broken local pool ----
-            if self.registry.all_dead():
-                if not self.local_fallback:
-                    raise DispatchError(
-                        "every worker died with "
-                        f"{len(payloads) - terminal} cell(s) unfinished"
-                    )
-                leftovers = sorted(
-                    pending
-                    + [(a.index, a.payload, a.attempt) for a in assignments.values()]
-                )
-                pending.clear()
-                assignments.clear()
-                self._log(
-                    f"all workers dead; finishing {len(leftovers)} cell(s) "
-                    "serially in-process"
-                )
-                with self._lock:
-                    self.stats.local_fallback_cells += len(leftovers)
-                entry = protocol.resolve_kind(kind)
-                for outcome in _run_serial(
-                    leftovers, entry, self.max_retries, 0.0, None
-                ):
-                    terminal += 1
-                    with self._lock:
-                        if outcome.ok:
-                            self.stats.completed += 1
-                        else:
-                            self.stats.failed += 1
-                    yield outcome
-                break
-
-            # -- assign pending cells to free slots ---------------------
-            for worker in self.registry.with_free_slot():
-                if not pending:
-                    break
-                while pending and worker.free_slots > 0:
-                    index, payload, attempt = pending.pop(0)
-                    writer = self._writers.get(id(worker))
-                    if writer is None:
-                        pending.insert(0, (index, payload, attempt))
-                        break
-                    task_id = next_task_id
-                    next_task_id += 1
-                    if attempt == 1 and index not in started and on_start is not None:
-                        started.add(index)
-                        on_start(index, payload)
-                    try:
-                        writer.send(protocol.task(task_id, kind, payload))
-                    except (OSError, FrameError) as exc:
-                        pending.insert(0, (index, payload, attempt))
-                        self._drop_worker(worker, f"send failed: {exc}", requeue)
-                        break
-                    now = time.monotonic()
-                    with self._lock:
-                        worker.inflight[task_id] = now
-                    assignments[task_id] = _Assignment(
-                        task_id=task_id, index=index, payload=payload,
-                        attempt=attempt, worker=worker, sent_at=now,
-                    )
-
-            # -- heartbeats and liveness --------------------------------
+        while not self._closed:
+            self._drain()
             now = time.monotonic()
             if now - last_heartbeat >= self.heartbeat_interval:
                 last_heartbeat = now
-                for worker in list(self.registry.up()):
-                    if now - worker.last_pong > (
-                        self.heartbeat_interval * self.heartbeat_misses
-                    ):
-                        self._drop_worker(
-                            worker,
-                            f"missed {self.heartbeat_misses} heartbeats",
-                            requeue,
-                        )
-                        continue
-                    writer = self._writers.get(id(worker))
-                    if writer is None:
-                        continue
-                    try:
-                        writer.send(protocol.ping(time.time()))
-                    except (OSError, FrameError) as exc:
-                        self._drop_worker(worker, f"ping failed: {exc}", requeue)
+                self._heartbeat(now)
+            self._assign()
+            if self.registry.all_dead():
+                self._break()
 
-            # -- per-cell timeout ---------------------------------------
-            if self.task_timeout is not None:
-                for assignment in list(assignments.values()):
-                    if now - assignment.sent_at < self.task_timeout:
-                        continue
-                    worker = assignment.worker
-                    with self._lock:
-                        worker.inflight.pop(assignment.task_id, None)
-                        self.stats.timeouts += 1
-                    assignments.pop(assignment.task_id, None)
-                    if assignment.attempt <= self.max_retries:
-                        with self._lock:
-                            self.stats.retries += 1
-                        pending.append((
-                            assignment.index, assignment.payload,
-                            assignment.attempt + 1,
-                        ))
-                    else:
-                        terminal += 1
-                        with self._lock:
-                            self.stats.failed += 1
-                        yield TaskOutcome(
-                            index=assignment.index, payload=assignment.payload,
-                            timed_out=True, attempts=assignment.attempt,
-                            wall_seconds=now - assignment.sent_at,
-                            mode="distributed",
-                        )
-
-            # -- results, pongs, deaths ---------------------------------
-            for outcome in self._drain_events(
-                assignments, pending, block=True, requeue=requeue
+    def _heartbeat(self, now: float) -> None:
+        for worker in self.registry.up():
+            if now - worker.last_pong > (
+                self.heartbeat_interval * self.heartbeat_misses
             ):
-                terminal += 1
-                yield outcome
+                self._drop_worker(
+                    worker, f"missed {self.heartbeat_misses} heartbeats"
+                )
+                continue
+            try:
+                self._writers[id(worker)].send(protocol.ping(time.time()))
+            except (OSError, FrameError) as exc:
+                self._drop_worker(worker, f"ping failed: {exc}")
 
-    def _drain_events(self, assignments, pending, block: bool,
-                      requeue=None) -> list[TaskOutcome]:
-        """Handle every queued event (waiting briefly for the first)."""
-        outcomes: list[TaskOutcome] = []
+    def _assign(self) -> None:
+        """Free the slots of cancelled cells, then fill free slots."""
+        for task_id, (cell, worker) in list(self._assigned.items()):
+            if cell.future.cancelled():
+                del self._assigned[task_id]
+                with self._lock:
+                    worker.inflight.pop(task_id, None)
+        self._pending = [c for c in self._pending if not c.future.cancelled()]
+        for worker in self.registry.with_free_slot():
+            while self._pending and worker.free_slots > 0:
+                cell = self._pending.pop(0)
+                task_id = self._next_task_id
+                self._next_task_id += 1
+                try:
+                    self._writers[id(worker)].send(
+                        protocol.task(task_id, cell.kind, cell.payload)
+                    )
+                except (OSError, FrameError) as exc:
+                    self._pending.insert(0, cell)
+                    self._drop_worker(worker, f"send failed: {exc}")
+                    break
+                with self._lock:
+                    worker.inflight[task_id] = time.monotonic()
+                self._assigned[task_id] = (cell, worker)
+
+    def _break(self) -> None:
+        """Every worker is dead: from now on ``live_slots`` and ``submit``
+        raise, and the caller takes back every unanswered cell (called
+        on every pass, so a cell submitted in the meantime is dropped
+        too)."""
+        if self._broken is None:
+            message = (f"every worker died with {len(self._pending)} "
+                       "cell(s) in flight")
+            with self._lock:
+                self._broken = (
+                    BrokenExecutor(message) if self.local_fallback
+                    else DispatchError(message)
+                )
+            if self.local_fallback:
+                self._log("all workers dead; the remaining cells fall back "
+                          "to in-process execution")
+        self._pending.clear()
+
+    def _drain(self) -> None:
+        """Handle every queued event, waiting briefly for the first."""
         first = True
         while True:
             try:
-                event = self._events.get(
-                    timeout=0.05 if (block and first) else 0.0
-                )
+                event = self._events.get(block=first, timeout=0.05)
             except queue.Empty:
-                return outcomes
+                return
             first = False
             tag, worker = event[0], event[1]
-            if tag == "welcome":
+            if tag == "submit":
+                self._pending.append(event[2])
+            elif tag == "welcome":
                 _, _, welcome, sock = event
                 with self._lock:
                     worker.state = WorkerState.UP
@@ -462,16 +442,13 @@ class Coordinator:
                     f"(slots={worker.slots}, pid={worker.pid})"
                 )
             elif tag == "dead":
-                reason = event[2]
                 if worker.state is WorkerState.CONNECTING:
                     with self._lock:
                         worker.state = WorkerState.DEAD
-                        worker.death_reason = reason
-                    self._log(f"worker {worker.name} unreachable: {reason}")
-                elif requeue is not None:
-                    self._drop_worker(worker, reason, requeue)
+                        worker.death_reason = event[2]
+                    self._log(f"worker {worker.name} unreachable: {event[2]}")
                 else:
-                    self._drop_worker(worker, reason, lambda *_a, **_k: None)
+                    self._drop_worker(worker, event[2])
             elif tag == "frame":
                 message = event[2]
                 mtype = message.get("type")
@@ -479,130 +456,31 @@ class Coordinator:
                     with self._lock:
                         worker.last_pong = time.monotonic()
                 elif mtype == "result":
-                    outcome = self._handle_result(
-                        worker, message, assignments, pending
-                    )
-                    if outcome is not None:
-                        outcomes.append(outcome)
+                    self._handle_result(worker, message)
                 else:
                     self._log(
                         f"ignoring unknown frame {mtype!r} from {worker.name}"
                     )
 
-    def _handle_result(self, worker: WorkerHandle, message: dict,
-                       assignments, pending) -> TaskOutcome | None:
+    def _handle_result(self, worker: WorkerHandle, message: dict) -> None:
         task_id = message.get("task_id")
-        assignment = assignments.pop(task_id, None)
-        if assignment is None:
-            return None  # late answer to a reassigned/timed-out cell
-        wall = float(message.get("wall_seconds", 0.0))
+        entry = self._assigned.pop(task_id, None)
+        if entry is None:
+            return  # late answer to a moved or abandoned cell
+        ok = bool(message.get("ok"))
         with self._lock:
             worker.inflight.pop(task_id, None)
-            worker.busy_seconds += wall
-        if message.get("ok"):
-            with self._lock:
+            worker.busy_seconds += float(message.get("wall_seconds", 0.0))
+            if ok:
                 worker.completed += 1
-                self.stats.completed += 1
-            return TaskOutcome(
-                index=assignment.index, payload=assignment.payload,
-                value=message.get("value"), attempts=assignment.attempt,
-                wall_seconds=wall, mode="distributed",
-            )
-        error = str(message.get("error", "worker reported failure"))
-        with self._lock:
-            worker.failed += 1
-        if assignment.attempt <= self.max_retries:
-            with self._lock:
-                self.stats.retries += 1
-            pending.append(
-                (assignment.index, assignment.payload, assignment.attempt + 1)
-            )
-            return None
-        with self._lock:
-            self.stats.failed += 1
-        return TaskOutcome(
-            index=assignment.index, payload=assignment.payload,
-            error=error, attempts=assignment.attempt,
-            wall_seconds=wall, mode="distributed",
-        )
-
-
-class DistributedExecutor:
-    """Executor-shaped front end over :class:`Coordinator`.
-
-    Drop-in peer of :class:`repro.orch.executor.LocalExecutor`: the
-    orchestrator and campaign runner hand it the same module-level
-    worker callable, which it maps back to a wire kind (the callable
-    itself never leaves the process).
-    """
-
-    name = "distributed"
-
-    def __init__(
-        self,
-        addrs: list[tuple[str, int]],
-        task_timeout: float | None = None,
-        max_retries: int = 1,
-        heartbeat_interval: float = 1.0,
-        heartbeat_misses: int = 3,
-        connect_retries: int = 5,
-        connect_backoff: float = 0.3,
-        local_fallback: bool = True,
-        token: str | None = None,
-        log=None,
-    ):
-        self.addrs = list(addrs)
-        self.task_timeout = task_timeout
-        self.max_retries = max_retries
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_misses = heartbeat_misses
-        self.connect_retries = connect_retries
-        self.connect_backoff = connect_backoff
-        self.local_fallback = local_fallback
-        self.token = token
-        self._log = log
-        #: Set for the lifetime of each run; ``repro serve`` polls it.
-        self.coordinator: Coordinator | None = None
-        #: Stats of the most recently completed run.
-        self.last_stats: DispatchStats | None = None
-
-    @property
-    def parallel(self) -> int:
-        """Nominal width for reports/ETA: one slot per worker minimum
-        (the true width is the sum of advertised slots, known only
-        after the handshake)."""
-        coordinator = self.coordinator
-        if coordinator is not None:
-            up = coordinator.registry.up()
-            if up:
-                return sum(w.slots for w in up)
-        return max(1, len(self.addrs))
-
-    def run(self, payloads, worker, on_start=None):
-        kind = protocol.kind_for(worker)
-        if kind is None:
-            raise DispatchError(
-                f"{worker.__module__}.{worker.__qualname__} is not a "
-                "registered distributed task kind"
-            )
-        self.coordinator = Coordinator(
-            self.addrs,
-            task_timeout=self.task_timeout,
-            max_retries=self.max_retries,
-            heartbeat_interval=self.heartbeat_interval,
-            heartbeat_misses=self.heartbeat_misses,
-            connect_retries=self.connect_retries,
-            connect_backoff=self.connect_backoff,
-            local_fallback=self.local_fallback,
-            token=self.token,
-            log=self._log,
-        )
-        try:
-            yield from self.coordinator.run(payloads, kind, on_start=on_start)
-        finally:
-            self.last_stats = self.coordinator.stats
-            self.last_stats.workers = self.coordinator.registry.snapshot()
-            self.coordinator = None
+            else:
+                worker.failed += 1
+        if ok:
+            _settle(entry[0].future, message.get("value"))
+        else:
+            _settle(entry[0].future, error=WorkerError(
+                str(message.get("error", "worker reported failure"))
+            ))
 
 
 # -- ops helpers --------------------------------------------------------

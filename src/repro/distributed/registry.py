@@ -97,14 +97,13 @@ class WorkerRegistry:
         return [w for w in self.workers if w.state is WorkerState.UP]
 
     def with_free_slot(self) -> list[WorkerHandle]:
-        """UP workers with capacity, least-loaded first (ties broken by
-        completed count so a faster worker naturally attracts work)."""
+        """UP workers with capacity, fullest first: one worker's slots
+        fill before the next one's, whether cells arrive one at a time
+        or in a batch (ties broken by completed count so a faster
+        worker naturally attracts work)."""
         free = [w for w in self.workers if w.free_slots > 0]
-        free.sort(key=lambda w: (len(w.inflight), -w.completed))
+        free.sort(key=lambda w: (w.free_slots, -w.completed))
         return free
-
-    def total_inflight(self) -> int:
-        return sum(len(w.inflight) for w in self.workers)
 
     def all_dead(self) -> bool:
         return all(w.state is WorkerState.DEAD for w in self.workers)

@@ -54,7 +54,7 @@ class ServeState:
         self._error: str | None = None
         self._result: dict | None = None
         #: zero-arg callable returning a worker-stats dict, or None;
-        #: installed while a DistributedExecutor run is live.
+        #: installed while a Coordinator pool runs the campaign.
         self._worker_probe = None
         self._last_workers: list[dict] = []
 
@@ -241,7 +241,7 @@ async function tick() {
       .map(w => `<tr><td>${w.addr}</td><td>${w.state}</td><td>${w.slots}</td>
         <td>${w.inflight}</td><td>${w.completed}</td>
         <td>${w.reassigned_away}</td><td>${w.throughput_per_s}</td></tr>`)
-      .join('') || '<tr><td class="muted" colspan="7">local executor</td></tr>';
+      .join('') || '<tr><td class="muted" colspan="7">local pool</td></tr>';
   document.querySelector('#recent tbody').innerHTML =
     s.recent.slice(0, 12).map(e =>
       `<tr><td>${e.label || e.index}</td><td>${e.source}</td>

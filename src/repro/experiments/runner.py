@@ -270,16 +270,14 @@ class SweepHarness:
         progress=None,
         task_timeout: float | None = None,
         max_retries: int = 1,
-        executor=None,
+        pool=None,
     ):
         """Complete every cell of the grid; returns the
         :class:`repro.orch.SweepReport` describing exactly what was
         resumed, served from cache, recomputed or failed.
 
-        ``executor`` (any object with the
-        :class:`repro.orch.LocalExecutor` interface, e.g. a
-        :class:`repro.distributed.DistributedExecutor`) overrides the
-        default local process pool."""
+        ``pool`` (e.g. a :class:`repro.distributed.Coordinator`)
+        replaces the default local process pool."""
         from repro.orch.orchestrator import Orchestrator
 
         specs = self.specs()
@@ -294,7 +292,7 @@ class SweepHarness:
             resume=resume,
             read_cache=read_cache,
             progress=progress,
-            executor=executor,
+            pool=pool,
         )
         by_key = {spec.key: spec for spec in specs}
         for key, result in results.items():

@@ -601,10 +601,11 @@ class CampaignReport:
     cells: list = field(default_factory=list)
     #: Cells whose *worker* failed (infrastructure, not simulation).
     failed: list = field(default_factory=list)
-    #: Which executor computed the cells ("local" or "distributed").
+    #: Which pool computed the cells ("local" or "distributed").
     executor: str = "local"
-    #: Distributed dispatch stats (reassignments, worker deaths,
-    #: per-worker throughput) when a DistributedExecutor ran them.
+    #: Fleet facts (reassignments, worker deaths, per-worker
+    #: throughput) from ``Coordinator.snapshot()`` when worker daemons
+    #: ran them.
     dispatch: dict | None = None
 
     @property
@@ -817,7 +818,7 @@ class CampaignReport:
 
 
 class CampaignRunner:
-    """Drive a campaign through the orch executor/cache/journal."""
+    """Drive a campaign through the orch scheduler/cache/journal."""
 
     def __init__(self, config: CampaignConfig, store=None):
         self.config = config
@@ -840,25 +841,19 @@ class CampaignRunner:
         task_timeout: float | None = None,
         max_retries: int = 1,
         progress: Callable[[str], None] | None = None,
-        executor=None,
+        pool=None,
         on_cell: Callable[[dict], None] | None = None,
     ) -> CampaignReport:
         """Complete every cell of the campaign.
 
-        ``executor`` is anything matching the
-        :class:`~repro.orch.executor.LocalExecutor` interface (pass a
-        :class:`~repro.distributed.DistributedExecutor` to shard cells
+        ``pool`` replaces the default ``ProcessPoolExecutor(parallel)``
+        (pass a :class:`~repro.distributed.Coordinator` to shard cells
         over worker daemons); ``on_cell`` receives one structured dict
         per terminal cell — the live feed ``repro serve`` renders.
         """
-        from repro.orch.executor import LocalExecutor
+        from repro.orch.executor import run_tasks
 
-        if executor is None:
-            executor = LocalExecutor(
-                parallel=parallel, task_timeout=task_timeout,
-                max_retries=max_retries,
-            )
-        parallel = executor.parallel
+        snapshot = getattr(pool, "snapshot", None)
         journal = self.journal
         say = progress or (lambda _msg: None)
         emit = on_cell or (lambda _event: None)
@@ -868,7 +863,8 @@ class CampaignRunner:
 
         report = CampaignReport(config=self.config.to_dict(),
                                 n_cells=len(self.cells),
-                                executor=getattr(executor, "name", "local"))
+                                executor="local" if snapshot is None
+                                else "distributed")
         outcomes: dict[int, RunOutcome] = {}
         pending: list[CampaignCell] = []
         for cell in self.cells:
@@ -887,14 +883,18 @@ class CampaignRunner:
 
         if journal is not None:
             journal.run_started(len(pending), parallel, resume)
-        for task in executor.run(
+        for task in run_tasks(
             [cell.to_dict() for cell in pending],
             execute_campaign_payload,
+            parallel=parallel,
+            task_timeout=task_timeout,
+            max_retries=max_retries,
             on_start=lambda _i, p: (
                 journal.task_started(
                     CampaignCell.from_dict(p).key, CampaignCell.from_dict(p).label()
                 ) if journal is not None else None
             ),
+            pool=pool,
         ):
             cell = pending[task.index]
             if task.ok:
@@ -927,9 +927,8 @@ class CampaignRunner:
                 emit({"index": cell.index, "label": cell.label(),
                       "source": "failed", "outcome": None,
                       "wall_seconds": task.wall_seconds, "error": error})
-        last_stats = getattr(executor, "last_stats", None)
-        if last_stats is not None:
-            report.dispatch = last_stats.to_dict()
+        if snapshot is not None:
+            report.dispatch = snapshot()
 
         # -- aggregate ---------------------------------------------------
         from repro.workloads.registry import workload_class_of

@@ -11,13 +11,14 @@ backward-error-recovery properties the paper gives the COMA machine:
   writes and versioned invalidation (:class:`ResultStore`);
 - :mod:`repro.orch.journal` — an append-only JSONL run log that makes
   ``--resume`` exact after any crash (:class:`Journal`);
-- :mod:`repro.orch.executor` — process-pool execution with timeout,
-  bounded retry and graceful serial degradation;
+- :mod:`repro.orch.executor` — the one task scheduler: pool-driven
+  execution with timeout, bounded retry and graceful serial
+  degradation;
 - :mod:`repro.orch.orchestrator` — the policy layer tying them
   together (:class:`Orchestrator`).
 """
 
-from repro.orch.executor import LocalExecutor, TaskOutcome, run_tasks
+from repro.orch.executor import TaskOutcome, run_tasks
 from repro.orch.journal import Journal
 from repro.orch.orchestrator import (
     CellRecord,
@@ -56,7 +57,6 @@ __all__ = [
     "GC_KEEP_DAYS_DEFAULT",
     "GCReport",
     "Journal",
-    "LocalExecutor",
     "Orchestrator",
     "ProgressEvent",
     "ResultStore",

@@ -1,18 +1,23 @@
-"""Parallel task execution with bounded retry and serial fallback.
+"""The one task scheduler: bounded retry, timeout and serial fallback.
 
-A thin, generic layer under the orchestrator: run ``worker(payload)``
-for every payload over a ``ProcessPoolExecutor``, yielding outcomes in
-*completion* order.  The failure policy mirrors what the paper's
-machine does for its own computation — backward error recovery at the
-granularity of one task:
+A thin, generic layer under the orchestrator and the campaign runner:
+run ``worker(payload)`` for every payload over a pool, yielding
+outcomes in *completion* order.  The pool is a local
+``ProcessPoolExecutor`` by default, or a
+:class:`repro.distributed.Coordinator` over worker daemons; both are
+driven by the same loop, so the failure policy below is the same for
+both.  It mirrors what the paper's machine does for its own
+computation — backward error recovery at the granularity of one task:
 
-- a task that raises is retried (fresh worker, exponential backoff) up
-  to ``max_retries`` extra attempts before being reported failed;
-- a task that exceeds ``task_timeout`` seconds is abandoned (the
-  result of a late worker is discarded) and retried the same way;
-- a dead worker process (``BrokenProcessPool``) or an unavailable pool
-  degrades the whole run to in-process serial execution — slower, but
-  the sweep still completes.
+- a task that raises is retried (exponential backoff) up to
+  ``max_retries`` extra attempts before being reported failed;
+- a task that exceeds ``task_timeout`` seconds is abandoned (its
+  future is cancelled and a late result discarded) and retried the
+  same way;
+- a dead pool (``BrokenExecutor``: a killed pool process, or every
+  distributed worker lost) or an unavailable one degrades the rest of
+  the run to in-process serial execution — slower, but the sweep still
+  completes.
 
 Workers must be module-level callables and payloads picklable; the
 orchestrator ships plain spec dicts and receives plain result dicts so
@@ -22,8 +27,14 @@ nothing simulation-specific crosses the process boundary.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    BrokenExecutor,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
@@ -39,7 +50,8 @@ class TaskOutcome:
     timed_out: bool = False
     attempts: int = 1
     wall_seconds: float = 0.0
-    #: "parallel" or "serial" — how the final attempt ran.
+    #: "parallel" (on a pool) or "serial" (in-process) — how the final
+    #: attempt ran.
     mode: str = "parallel"
 
     @property
@@ -53,6 +65,15 @@ class _Attempt:
     payload: Any
     attempt: int
     submitted_at: float
+
+
+def _describe(exc: BaseException) -> str:
+    """``Type: message``, the text a failed outcome carries.  An error
+    relayed from another process (``relayed = True``, e.g. a worker
+    daemon's answer) already reads that way and is kept as it is."""
+    if getattr(exc, "relayed", False):
+        return str(exc)
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _backoff_sleep(backoff: float, attempt: int) -> None:
@@ -83,7 +104,7 @@ def _run_serial(
                     attempt += 1
                     continue
                 yield TaskOutcome(
-                    index=index, payload=payload, error=f"{type(exc).__name__}: {exc}",
+                    index=index, payload=payload, error=_describe(exc),
                     attempts=attempt, wall_seconds=time.perf_counter() - t0,
                     mode="serial",
                 )
@@ -104,66 +125,70 @@ def run_tasks(
     retry_backoff: float = 0.25,
     on_start: Callable[[int, Any], None] | None = None,
     poll_interval: float = 0.02,
+    pool: Executor | None = None,
 ) -> Iterator[TaskOutcome]:
-    """Yield a :class:`TaskOutcome` per payload, in completion order."""
-    if parallel <= 1:
-        yield from _run_serial(
-            [(i, p, 1) for i, p in enumerate(payloads)],
-            worker, max_retries, retry_backoff, on_start,
-        )
-        return
+    """Yield a :class:`TaskOutcome` per payload, in completion order.
 
-    try:
-        pool = ProcessPoolExecutor(max_workers=parallel)
-    except (OSError, ValueError, PermissionError):
-        yield from _run_serial(
-            [(i, p, 1) for i, p in enumerate(payloads)],
-            worker, max_retries, retry_backoff, on_start,
-        )
-        return
+    ``pool`` is any ``concurrent.futures``-style executor; by default a
+    ``ProcessPoolExecutor(parallel)`` is built (none at all for
+    ``parallel <= 1``).  Either way ``run_tasks`` owns the pool and
+    shuts it down on the way out.  In-flight cells are bounded by the
+    pool's ``live_slots()`` where it has one (a
+    :class:`repro.distributed.Coordinator`, whose width changes as
+    workers join and die), else by ``parallel``.
+    """
+    serial = [(i, p, 1) for i, p in enumerate(payloads)]
+    if pool is None:
+        if parallel <= 1:
+            yield from _run_serial(serial, worker, max_retries, retry_backoff, on_start)
+            return
+        try:
+            pool = ProcessPoolExecutor(max_workers=parallel)
+        except (OSError, ValueError, PermissionError):
+            yield from _run_serial(serial, worker, max_retries, retry_backoff, on_start)
+            return
+    width = getattr(pool, "live_slots", lambda: parallel)
 
-    queue: list[tuple[int, Any, int]] = [(i, p, 1) for i, p in enumerate(payloads)]
+    queue: list[tuple[int, Any, int]] = serial
     inflight: dict[Future, _Attempt] = {}
     abandoned = False  # a timed-out worker may still be running in the pool
     interrupted = True  # cleared on normal loop exit; KeyboardInterrupt,
     # StallError or a closed generator must not leave orphan workers
-    broken: list[tuple[int, Any, int]] = []  # resubmit serially on pool death
+    broken = False  # the pool died: what is left finishes serially
 
-    def submit_next() -> bool:
-        if not queue:
-            return False
-        index, payload, attempt = queue.pop(0)
+    def submit_next() -> None:
+        index, payload, attempt = queue[0]
         if attempt == 1 and on_start is not None:
             on_start(index, payload)
-        try:
-            future = pool.submit(worker, payload)
-        except (BrokenProcessPool, RuntimeError):
-            # the pool died between completions; finish this serially
-            broken.append((index, payload, attempt))
-            return False
+        future = pool.submit(worker, payload)
+        queue.pop(0)
         inflight[future] = _Attempt(index, payload, attempt, time.perf_counter())
-        return True
 
     try:
-        while queue or inflight:
-            while len(inflight) < parallel and submit_next():
-                pass
-            if broken and not inflight:
-                broken.extend(queue)
-                queue.clear()
+        while (queue or inflight) and not broken:
+            try:
+                # read every pass, queue or not: a pool that died with
+                # every cell already submitted says so only here
+                slots = width()
+                while queue and len(inflight) < slots:
+                    submit_next()
+            except BrokenExecutor:
+                broken = True
                 break
+            if not inflight:  # no live slot: every worker still dialling
+                time.sleep(poll_interval)
+                continue
             done, _ = wait(
                 list(inflight), timeout=poll_interval, return_when=FIRST_COMPLETED
             )
-            pool_broken = False
             for future in done:
                 task = inflight.pop(future)
                 wall = time.perf_counter() - task.submitted_at
                 try:
                     value = future.result()
-                except BrokenProcessPool:
-                    pool_broken = True
-                    broken.append((task.index, task.payload, task.attempt))
+                except BrokenExecutor:
+                    broken = True
+                    queue.append((task.index, task.payload, task.attempt))
                     continue
                 except Exception as exc:  # noqa: BLE001
                     if task.attempt <= max_retries:
@@ -172,7 +197,7 @@ def run_tasks(
                     else:
                         yield TaskOutcome(
                             index=task.index, payload=task.payload,
-                            error=f"{type(exc).__name__}: {exc}",
+                            error=_describe(exc),
                             attempts=task.attempt, wall_seconds=wall,
                         )
                     continue
@@ -180,17 +205,7 @@ def run_tasks(
                     index=task.index, payload=task.payload, value=value,
                     attempts=task.attempt, wall_seconds=wall,
                 )
-            if pool_broken:
-                # the pool is unusable: everything not yet terminal
-                # (in flight or queued) finishes serially in-process
-                broken.extend(
-                    (t.index, t.payload, t.attempt) for t in inflight.values()
-                )
-                broken.extend(queue)
-                inflight.clear()
-                queue.clear()
-                break
-            if task_timeout is not None:
+            if task_timeout is not None and not broken:
                 now = time.perf_counter()
                 for future, task in list(inflight.items()):
                     if now - task.submitted_at < task_timeout:
@@ -225,47 +240,7 @@ def run_tasks(
                     pass
 
     if broken:
-        broken.sort()
-        yield from _run_serial(broken, worker, max_retries, retry_backoff, None)
-
-
-class LocalExecutor:
-    """Single-host execution behind the shared executor interface.
-
-    An *executor* is anything with ``run(payloads, worker, on_start=None)
-    -> Iterator[TaskOutcome]`` and a nominal ``parallel`` width; the
-    orchestrator and the campaign runner are written against that
-    shape, so :class:`repro.distributed.DistributedExecutor` drops in
-    without either of them knowing whether cells ran in a local process
-    pool or on daemons across the network.
-    """
-
-    name = "local"
-
-    def __init__(
-        self,
-        parallel: int = 1,
-        task_timeout: float | None = None,
-        max_retries: int = 1,
-        retry_backoff: float = 0.25,
-    ):
-        self.parallel = max(1, parallel)
-        self.task_timeout = task_timeout
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
-
-    def run(
-        self,
-        payloads: list[Any],
-        worker: Callable[[Any], Any],
-        on_start: Callable[[int, Any], None] | None = None,
-    ) -> Iterator[TaskOutcome]:
-        yield from run_tasks(
-            payloads,
-            worker,
-            parallel=self.parallel,
-            task_timeout=self.task_timeout,
-            max_retries=self.max_retries,
-            retry_backoff=self.retry_backoff,
-            on_start=on_start,
-        )
+        # the pool is unusable: everything not yet terminal (in flight
+        # or queued) finishes serially in-process
+        leftovers = queue + [(t.index, t.payload, t.attempt) for t in inflight.values()]
+        yield from _run_serial(sorted(leftovers), worker, max_retries, retry_backoff, None)

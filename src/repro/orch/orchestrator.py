@@ -7,8 +7,9 @@ the cheapest safe place:
 1. **resume** — cells whose completion was journaled by an earlier
    (possibly killed) run *and* whose record is still in the store;
 2. **cache** — cells already in the content-addressed store;
-3. **compute** — everything else, sharded over a process pool (or run
-   serially), with per-task timeout and bounded retry.
+3. **compute** — everything else, sharded over a pool (local
+   processes or worker daemons) or run serially, with per-task timeout
+   and bounded retry.
 
 The crash-consistency ordering is: store record first (atomic rename),
 ``task_completed`` journal line second.  A SIGKILL between the two
@@ -27,7 +28,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.orch.executor import LocalExecutor
+from repro.orch.executor import run_tasks
 from repro.orch.journal import Journal
 from repro.orch.serialize import run_result_from_dict, run_result_to_dict
 from repro.orch.store import ResultStore
@@ -101,10 +102,10 @@ class SweepReport:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_invalidations: int = 0
-    #: "local" or "distributed" — which executor computed the cells.
+    #: "local" or "distributed" — which pool computed the cells.
     executor: str = "local"
-    #: Distributed dispatch stats (reassignments, worker deaths, ...)
-    #: when a DistributedExecutor ran the cells.
+    #: Fleet facts (reassignments, worker deaths, ...) from
+    #: ``Coordinator.snapshot()`` when worker daemons ran the cells.
     dispatch: dict | None = None
 
     @property
@@ -135,8 +136,7 @@ class SweepReport:
         if self.dispatch is not None:
             summary["dispatch"] = {
                 k: self.dispatch[k]
-                for k in ("connected", "reassignments", "worker_deaths",
-                          "local_fallback_cells")
+                for k in ("connected", "reassignments", "worker_deaths")
                 if k in self.dispatch
             }
         return summary
@@ -194,31 +194,25 @@ class Orchestrator:
         resume: bool = False,
         read_cache: bool = True,
         progress=None,
-        executor=None,
+        pool=None,
     ) -> tuple[dict[str, "object"], SweepReport]:
         """Complete every cell; returns ``({key: RunResult}, report)``.
 
-        ``executor`` is anything matching the
-        :class:`~repro.orch.executor.LocalExecutor` interface; when
-        ``None`` a local one is built from ``parallel`` and the
-        orchestrator's timeout/retry policy.
+        ``pool`` (e.g. a :class:`repro.distributed.Coordinator`) replaces
+        the default ``ProcessPoolExecutor(parallel)``; either way
+        :func:`~repro.orch.executor.run_tasks` applies the
+        orchestrator's timeout/retry policy and shuts the pool down.
         """
         t_start = time.perf_counter()
-        if executor is None:
-            executor = LocalExecutor(
-                parallel=parallel,
-                task_timeout=self.task_timeout,
-                max_retries=self.max_retries,
-                retry_backoff=self.retry_backoff,
-            )
-        parallel = executor.parallel
+        parallel = max(1, parallel)
+        snapshot = getattr(pool, "snapshot", None)
         unique: dict[str, TaskSpec] = {}
         for spec in specs:
             unique.setdefault(spec.key, spec)
 
         report = SweepReport(
-            total=len(unique), parallel=max(1, parallel),
-            executor=getattr(executor, "name", "local"),
+            total=len(unique), parallel=parallel,
+            executor="local" if snapshot is None else "distributed",
         )
         results: dict[str, object] = {}
         done = 0
@@ -278,12 +272,15 @@ class Orchestrator:
             if self.journal is not None:
                 self.journal.task_started(spec.key, spec.label())
 
-        for outcome in executor.run(payloads, execute_spec_payload,
-                                    on_start=on_start):
+        for outcome in run_tasks(
+            payloads, execute_spec_payload, parallel=parallel,
+            task_timeout=self.task_timeout, max_retries=self.max_retries,
+            retry_backoff=self.retry_backoff, on_start=on_start, pool=pool,
+        ):
             spec = pending[outcome.index]
             done += 1
             queue_depth = report.total - done
-            if outcome.mode == "serial" and parallel > 1:
+            if outcome.mode == "serial" and (pool is not None or parallel > 1):
                 report.serial_fallbacks += 1
             if outcome.ok:
                 result = run_result_from_dict(outcome.value["result"])
@@ -321,9 +318,8 @@ class Orchestrator:
                 emit(spec, "failed", outcome.wall_seconds, queue_depth)
 
         report.wall_seconds = time.perf_counter() - t_start
-        last_stats = getattr(executor, "last_stats", None)
-        if last_stats is not None:
-            report.dispatch = last_stats.to_dict()
+        if snapshot is not None:
+            report.dispatch = snapshot()
         if self.store is not None:
             report.cache_hits = self.store.stats.hits
             report.cache_misses = self.store.stats.misses

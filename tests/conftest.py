@@ -24,3 +24,24 @@ def _hermetic_result_cache(tmp_path_factory):
 @pytest.fixture
 def cfg4():
     return small_config(4)
+
+
+@pytest.fixture
+def fake_workers():
+    """Start scripted worker daemons (see tests.distributed.fakes):
+    ``fake_workers("good", "silent", slots=2)`` returns every fake
+    started so far; their listeners close at teardown."""
+    from tests.distributed.fakes import FakeWorker
+
+    workers = []
+
+    def _spawn(*modes: str, slots: int = 1):
+        for mode in modes:
+            worker = FakeWorker(mode=mode, slots=slots)
+            worker.start()
+            workers.append(worker)
+        return workers
+
+    yield _spawn
+    for worker in workers:
+        worker.close()

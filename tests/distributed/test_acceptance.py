@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.distributed import DistributedExecutor, ping_workers, shutdown_workers
+from repro.distributed import Coordinator, ping_workers, shutdown_workers
 from repro.fault.campaign import CampaignConfig, CampaignRunner
 from repro.orch.serialize import comparable_payload
 from repro.orch.store import ResultStore
@@ -120,10 +120,10 @@ def test_two_workers_match_serial_bit_identically(tmp_path, workers):
     assert all(row["ok"] for row in ping_workers([addr1, addr2]))
 
     store_dir = tmp_path / "dist"
-    executor = DistributedExecutor([addr1, addr2],
-                                   heartbeat_interval=0.2, heartbeat_misses=5)
+    pool = Coordinator([addr1, addr2],
+                       heartbeat_interval=0.2, heartbeat_misses=5)
     report = CampaignRunner(CONFIG, store=ResultStore(store_dir)).run(
-        executor=executor
+        pool=pool
     )
     assert report.ok
     assert report.executor == "distributed"
@@ -153,10 +153,10 @@ def test_sigkill_one_worker_mid_campaign(tmp_path, workers):
             os.kill(w2.pid, signal.SIGKILL)
 
     store_dir = tmp_path / "dist-kill"
-    executor = DistributedExecutor([addr1, addr2],
-                                   heartbeat_interval=0.2, heartbeat_misses=5)
+    pool = Coordinator([addr1, addr2],
+                       heartbeat_interval=0.2, heartbeat_misses=5)
     report = CampaignRunner(CONFIG, store=ResultStore(store_dir)).run(
-        executor=executor, on_cell=on_cell
+        pool=pool, on_cell=on_cell
     )
     assert killed["done"]
     assert w2.wait(timeout=10) == -signal.SIGKILL
@@ -174,10 +174,10 @@ def test_max_tasks_chaos_knob_forces_reassignment(tmp_path, workers):
     w2, addr2 = workers("--max-tasks", "2")
 
     store_dir = tmp_path / "dist-chaos"
-    executor = DistributedExecutor([addr1, addr2],
-                                   heartbeat_interval=0.2, heartbeat_misses=5)
+    pool = Coordinator([addr1, addr2],
+                       heartbeat_interval=0.2, heartbeat_misses=5)
     report = CampaignRunner(CONFIG, store=ResultStore(store_dir)).run(
-        executor=executor
+        pool=pool
     )
     assert w2.wait(timeout=30) == 2  # os._exit(2) on the fatal task
     assert report.ok

@@ -1,153 +1,66 @@
 """Coordinator fault handling against scripted in-process workers.
 
-These tests exercise the dispatch loop's failure semantics — heartbeat
-misses, EOF deaths, reassignment, bounded retry — without spawning real
-daemons: a :class:`FakeWorker` thread speaks the wire protocol and
-misbehaves on cue.  The payloads never execute anywhere; the fakes just
-echo them back, which is all the coordinator can observe anyway.
+These tests drive a :class:`Coordinator` pool through ``run_tasks`` and
+exercise its distributed failure semantics — heartbeat misses, EOF
+deaths, reassignment, total worker loss — without spawning real
+daemons: the :class:`~tests.distributed.fakes.FakeWorker` threads
+speak the wire protocol and misbehave on cue.  Retry and timeout are
+``run_tasks``' and are checked on both pools in
+``tests/orch/test_executor.py``.
 """
 
 from __future__ import annotations
 
-import os
 import socket
 import threading
-import time
 
 import pytest
 
-from repro.distributed import framing, protocol
-from repro.distributed.coordinator import (
-    Coordinator,
-    DispatchError,
-    DistributedExecutor,
-)
-from repro.distributed.framing import ConnectionClosed, FrameError
+from repro.distributed import protocol
+from repro.distributed.coordinator import Coordinator, DispatchError
 from repro.distributed.registry import WorkerState
+from repro.fault.campaign import execute_campaign_payload
+from repro.orch.executor import run_tasks
+from tests.distributed.fakes import FakeWorker, fake_coordinator
 
 
-class FakeWorker(threading.Thread):
-    """A scripted worker daemon: one connection, one behaviour.
-
-    Modes: ``good`` answers everything; ``slow`` answers everything
-    after a short think; ``silent`` handshakes then never replies
-    (heartbeat-miss fodder); ``die-on-task`` drops the connection upon
-    its first task (EOF with the cell in flight); ``always-error``
-    answers every task with ``ok: false``.
-    """
-
-    def __init__(self, mode: str = "good", slots: int = 1, port: int = 0):
-        super().__init__(daemon=True)
-        self.mode = mode
-        self.slots = slots
-        self.tasks_seen = 0
-        self.listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self.listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self.listener.bind(("127.0.0.1", port))
-        self.listener.listen(1)
-        self.addr = self.listener.getsockname()
-
-    def close(self) -> None:
-        try:
-            self.listener.close()
-        except OSError:
-            pass
-
-    def run(self) -> None:  # noqa: C901 — a script, one branch per cue
-        try:
-            conn, _peer = self.listener.accept()
-        except OSError:
-            return
-        try:
-            protocol.check_hello(framing.recv_frame(conn))
-            framing.send_frame(
-                conn, protocol.welcome(slots=self.slots, pid=os.getpid())
-            )
-            while True:
-                message = framing.recv_frame(conn)
-                if self.mode == "silent":
-                    continue
-                mtype = message.get("type")
-                if mtype == "ping":
-                    framing.send_frame(conn, protocol.pong(message["t"]))
-                elif mtype == "task":
-                    self.tasks_seen += 1
-                    if self.mode == "die-on-task":
-                        conn.close()
-                        return
-                    if self.mode == "slow":
-                        time.sleep(0.05)
-                    if self.mode == "always-error":
-                        framing.send_frame(conn, protocol.result_error(
-                            message["task_id"], "scripted failure", 0.01
-                        ))
-                    else:
-                        framing.send_frame(conn, protocol.result_ok(
-                            message["task_id"],
-                            {"echo": message["payload"]},
-                            0.01,
-                        ))
-                elif mtype == "shutdown":
-                    return
-        except (ConnectionClosed, FrameError, OSError,
-                protocol.ProtocolError):
-            return
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
+def _run(coordinator: Coordinator, payloads: list[dict], **kwargs) -> list:
+    return list(run_tasks(payloads, execute_campaign_payload,
+                          pool=coordinator, **kwargs))
 
 
-@pytest.fixture
-def spawn():
-    workers: list[FakeWorker] = []
-
-    def _spawn(*modes: str, slots: int = 1) -> list[FakeWorker]:
-        for mode in modes:
-            worker = FakeWorker(mode=mode, slots=slots)
-            worker.start()
-            workers.append(worker)
-        return workers
-
-    yield _spawn
-    for worker in workers:
-        worker.close()
-
-
-def _coordinator(workers, **kwargs) -> Coordinator:
-    kwargs.setdefault("heartbeat_interval", 0.05)
-    kwargs.setdefault("heartbeat_misses", 2)
-    kwargs.setdefault("connect_timeout", 5.0)
-    return Coordinator([w.addr for w in workers], **kwargs)
+def _square(payload: dict) -> int:
+    return payload["cell"] ** 2
 
 
 PAYLOADS = [{"cell": i} for i in range(6)]
 
 
-def test_dispatches_across_workers(spawn):
-    workers = spawn("good", "good")
-    coordinator = _coordinator(workers)
-    outcomes = list(coordinator.run(PAYLOADS, "campaign-cell"))
+def test_dispatches_across_workers(fake_workers):
+    workers = fake_workers("good", "good")
+    coordinator = fake_coordinator(workers)
+    outcomes = _run(coordinator, PAYLOADS)
     assert len(outcomes) == len(PAYLOADS)
     assert all(o.ok for o in outcomes)
     assert sorted(o.value["echo"]["cell"] for o in outcomes) == list(range(6))
-    assert all(o.mode == "distributed" for o in outcomes)
-    assert coordinator.stats.connected == 2
-    assert coordinator.stats.completed == len(PAYLOADS)
-    assert coordinator.stats.worker_deaths == 0
+    assert all(o.mode == "parallel" for o in outcomes)
+    snapshot = coordinator.snapshot()
+    assert snapshot["connected"] == 2
+    assert sum(w["completed"] for w in snapshot["workers"]) == len(PAYLOADS)
+    assert snapshot["worker_deaths"] == 0
     # both fakes actually carried load
     assert all(w.tasks_seen > 0 for w in workers)
 
 
-def test_heartbeat_miss_kills_worker_and_reassigns(spawn):
-    workers = spawn("good", "silent")
-    coordinator = _coordinator(workers)
-    outcomes = list(coordinator.run(PAYLOADS, "campaign-cell"))
+def test_heartbeat_miss_kills_worker_and_reassigns(fake_workers):
+    workers = fake_workers("good", "silent")
+    coordinator = fake_coordinator(workers)
+    outcomes = _run(coordinator, PAYLOADS)
     assert len(outcomes) == len(PAYLOADS)
     assert all(o.ok for o in outcomes)
-    assert coordinator.stats.worker_deaths == 1
-    assert coordinator.stats.reassignments >= 1
+    snapshot = coordinator.snapshot()
+    assert snapshot["worker_deaths"] == 1
+    assert snapshot["reassignments"] >= 1
     dead = [w for w in coordinator.registry if w.state is WorkerState.DEAD]
     assert len(dead) == 1
     assert "heartbeat" in dead[0].death_reason
@@ -155,14 +68,15 @@ def test_heartbeat_miss_kills_worker_and_reassigns(spawn):
     assert all(o.attempts == 1 for o in outcomes)
 
 
-def test_eof_death_reassigns_inflight_cell(spawn):
-    workers = spawn("good", "die-on-task")
-    coordinator = _coordinator(workers)
-    outcomes = list(coordinator.run(PAYLOADS, "campaign-cell"))
+def test_eof_death_reassigns_inflight_cell(fake_workers):
+    workers = fake_workers("good", "die-on-task")
+    coordinator = fake_coordinator(workers)
+    outcomes = _run(coordinator, PAYLOADS)
     assert len(outcomes) == len(PAYLOADS)
     assert all(o.ok for o in outcomes)
-    assert coordinator.stats.worker_deaths == 1
-    assert coordinator.stats.reassignments >= 1
+    snapshot = coordinator.snapshot()
+    assert snapshot["worker_deaths"] == 1
+    assert snapshot["reassignments"] >= 1
 
 
 def _free_addr() -> tuple[str, int]:
@@ -181,7 +95,7 @@ def test_no_worker_reachable_raises_dispatch_error():
         connect_retries=2, connect_backoff=0.05,
     )
     with pytest.raises(DispatchError, match="no worker reachable"):
-        list(coordinator.run(PAYLOADS, "campaign-cell"))
+        _run(coordinator, PAYLOADS)
     dead = [w for w in coordinator.registry if w.state is WorkerState.DEAD]
     assert len(dead) == 1
     # the bounded redial ran out, and the reason says so
@@ -208,7 +122,7 @@ def test_connect_retry_tolerates_late_worker_start():
             connect_retries=8, connect_backoff=0.1,
             local_fallback=False,
         )
-        outcomes = list(coordinator.run(PAYLOADS, "campaign-cell"))
+        outcomes = _run(coordinator, PAYLOADS)
     finally:
         timer.cancel()
         for worker in late:
@@ -216,16 +130,18 @@ def test_connect_retry_tolerates_late_worker_start():
     assert late, "the late worker never started"
     assert len(outcomes) == len(PAYLOADS)
     assert all(o.ok for o in outcomes)
-    assert coordinator.stats.connected == 1
-    assert coordinator.stats.worker_deaths == 0
-    assert coordinator.stats.local_fallback_cells == 0
+    snapshot = coordinator.snapshot()
+    assert snapshot["connected"] == 1
+    assert snapshot["worker_deaths"] == 0
+    # no cell fell back to in-process execution
+    assert all(o.mode == "parallel" for o in outcomes)
 
 
-def test_straggler_joins_pool_mid_run(spawn):
+def test_straggler_joins_pool_mid_run(fake_workers):
     """One worker is up immediately, the other's daemon starts late:
     dispatch begins on the first wave and the straggler joins the
     pool once its redial lands, without stalling the run."""
-    workers = spawn("slow")
+    workers = fake_workers("slow")
     addr = _free_addr()
     late: list[FakeWorker] = []
 
@@ -244,64 +160,123 @@ def test_straggler_joins_pool_mid_run(spawn):
         )
         # enough cells that the run outlives the straggler's redial
         payloads = [{"cell": i} for i in range(40)]
-        outcomes = list(coordinator.run(payloads, "campaign-cell"))
+        outcomes = _run(coordinator, payloads)
     finally:
         timer.cancel()
         for worker in late:
             worker.close()
     assert len(outcomes) == len(payloads)
     assert all(o.ok for o in outcomes)
-    assert coordinator.stats.connected == 2
-    assert coordinator.stats.worker_deaths == 0
+    snapshot = coordinator.snapshot()
+    assert snapshot["connected"] == 2
+    assert snapshot["worker_deaths"] == 0
     # the straggler actually carried load once it joined
     assert late[0].tasks_seen > 0
 
 
-def test_unknown_kind_is_refused_up_front(spawn):
-    workers = spawn("good")
-    coordinator = _coordinator(workers)
-    with pytest.raises(DispatchError, match="unknown task kind"):
-        list(coordinator.run(PAYLOADS, "arbitrary-exec"))
+def test_unknown_kind_is_refused_up_front():
+    """An unregistered callable is refused before any worker is dialled."""
+    coordinator = Coordinator([_free_addr()])
+    with pytest.raises(DispatchError, match="not a registered"):
+        coordinator.submit(_square, {"cell": 1})
+    assert all(w.state is WorkerState.CONNECTING for w in coordinator.registry)
+    coordinator.shutdown()
 
 
-def test_cell_errors_retry_then_fail(spawn):
-    workers = spawn("always-error")
-    coordinator = _coordinator(workers, max_retries=1, local_fallback=False)
+def test_cell_errors_retry_then_fail(fake_workers):
+    workers = fake_workers("always-error")
+    coordinator = fake_coordinator(workers, local_fallback=False)
     payloads = PAYLOADS[:2]
-    outcomes = list(coordinator.run(payloads, "campaign-cell"))
+    outcomes = _run(coordinator, payloads, max_retries=1, retry_backoff=0.0)
     assert len(outcomes) == len(payloads)
     assert all(not o.ok for o in outcomes)
-    assert all(o.error == "scripted failure" for o in outcomes)
+    # the worker's own text, exactly as the local pool would report it
+    assert all(o.error == f"RuntimeError: boom {payloads[o.index]['cell']}"
+               for o in outcomes)
     assert all(o.attempts == 2 for o in outcomes)  # 1 try + 1 retry
-    assert coordinator.stats.retries == 2
-    assert coordinator.stats.failed == 2
+    assert workers[0].tasks_seen == 4
+    assert coordinator.snapshot()["workers"][0]["failed"] == 4
 
 
-def test_total_worker_loss_without_fallback_raises(spawn):
-    workers = spawn("die-on-task")
-    coordinator = _coordinator(workers, local_fallback=False)
+def test_total_worker_loss_without_fallback_raises(fake_workers):
+    workers = fake_workers("die-on-task")
+    coordinator = fake_coordinator(workers, local_fallback=False)
     with pytest.raises(DispatchError, match="every worker died"):
-        list(coordinator.run(PAYLOADS, "campaign-cell"))
+        _run(coordinator, PAYLOADS)
 
 
-def test_executor_refuses_unregistered_callables(spawn):
-    workers = spawn("good")
-    executor = DistributedExecutor([w.addr for w in workers])
+def test_total_worker_loss_with_every_cell_submitted_raises(fake_workers):
+    """Every cell is already in flight when the last worker dies: the
+    queue is empty, and the run must still stop with DispatchError
+    rather than wait on futures no worker will ever answer."""
+    workers = fake_workers("die-on-task", slots=len(PAYLOADS))
+    coordinator = fake_coordinator(workers, local_fallback=False)
+    raised: list[BaseException] = []
+
+    def run() -> None:
+        try:
+            _run(coordinator, PAYLOADS)
+        except BaseException as exc:  # noqa: BLE001 — inspected below
+            raised.append(exc)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(10.0)
+    assert not runner.is_alive(), "run_tasks hung after total worker loss"
+    assert len(raised) == 1 and isinstance(raised[0], DispatchError)
+    assert "every worker died" in str(raised[0])
+
+
+def test_total_worker_loss_falls_back_to_serial(fake_workers, monkeypatch):
+    """Every worker dead: the coordinator breaks like a dead local pool
+    and run_tasks finishes every cell in-process."""
+    monkeypatch.setitem(protocol.TASK_KINDS, "test-square",
+                        f"{__name__}:_square")
+    workers = fake_workers("die-on-task")
+    coordinator = fake_coordinator(workers)
+    outcomes = list(run_tasks(PAYLOADS, _square, pool=coordinator))
+    assert sorted(o.value for o in outcomes) == [i * i for i in range(6)]
+    assert {o.mode for o in outcomes} == {"serial"}
+    assert all(o.attempts == 1 for o in outcomes)
+    assert coordinator.snapshot()["worker_deaths"] == 1
+
+
+def test_executor_refuses_unregistered_callables(fake_workers):
+    workers = fake_workers("good")
+    coordinator = fake_coordinator(workers)
     with pytest.raises(DispatchError, match="not a registered"):
-        list(executor.run(PAYLOADS, test_dispatches_across_workers))
+        list(run_tasks(PAYLOADS, _square, pool=coordinator))
 
 
-def test_executor_runs_and_records_stats(spawn):
-    from repro.fault.campaign import execute_campaign_payload
-
-    workers = spawn("good", slots=2)
-    executor = DistributedExecutor(
-        [w.addr for w in workers],
-        heartbeat_interval=0.05, heartbeat_misses=2,
-    )
-    outcomes = list(executor.run(PAYLOADS, execute_campaign_payload))
+def test_executor_runs_and_records_stats(fake_workers):
+    workers = fake_workers("good", slots=2)
+    coordinator = fake_coordinator(workers)
+    outcomes = _run(coordinator, PAYLOADS)
     assert all(o.ok for o in outcomes)
-    assert executor.coordinator is None  # cleared after the run
-    assert executor.last_stats is not None
-    assert executor.last_stats.completed == len(PAYLOADS)
-    assert executor.last_stats.workers[0]["slots"] == 2
+    snapshot = coordinator.snapshot()
+    assert snapshot["workers"][0]["slots"] == 2
+    assert snapshot["workers"][0]["completed"] == len(PAYLOADS)
+    assert snapshot["workers"][0]["inflight"] == 0
+
+
+def test_stress_every_cell_settles_exactly_once(fake_workers):
+    """More worker slots than cores and a tiny switch interval: the
+    submitting thread, the dispatch thread and six reader threads
+    interleave as much as they can, and still every cell's future
+    settles exactly once with its own answer."""
+    import sys
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = fake_workers(*["good"] * 6, slots=2)
+        coordinator = fake_coordinator(workers)
+        payloads = [{"cell": i} for i in range(300)]
+        outcomes = _run(coordinator, payloads)
+    finally:
+        sys.setswitchinterval(previous)
+    assert sorted(o.index for o in outcomes) == list(range(len(payloads)))
+    assert all(o.ok and o.value["echo"] == payloads[o.index] for o in outcomes)
+    snapshot = coordinator.snapshot()
+    assert sum(w["completed"] for w in snapshot["workers"]) == len(payloads)
+    assert all(w["inflight"] == 0 for w in snapshot["workers"])

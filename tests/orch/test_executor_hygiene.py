@@ -1,4 +1,5 @@
-"""Resource hygiene: an abandoned run must not leak pool processes."""
+"""Resource hygiene: an abandoned run must not leak pool processes or
+worker connections."""
 
 from __future__ import annotations
 
@@ -6,7 +7,9 @@ import os
 import time
 from pathlib import Path
 
-from repro.orch.executor import LocalExecutor, run_tasks
+from repro.fault.campaign import execute_campaign_payload
+from repro.orch.executor import run_tasks
+from tests.distributed.fakes import fake_coordinator
 
 _PID_DIR_ENV = "REPRO_TEST_PID_DIR"
 
@@ -60,9 +63,18 @@ def test_closing_the_generator_terminates_pool_workers(tmp_path, monkeypatch):
     assert not leaked, f"pool processes leaked after close(): {leaked}"
 
 
-def test_local_executor_matches_run_tasks():
-    executor = LocalExecutor(parallel=1, max_retries=0)
-    assert executor.name == "local"
-    outcomes = list(executor.run([{"i": 0}], _quick_then_hang))
-    assert len(outcomes) == 1 and outcomes[0].ok
-    assert outcomes[0].mode == "serial"  # parallel=1 never builds a pool
+def test_closing_the_generator_closes_worker_connections(fake_workers):
+    """The same unwinding over a Coordinator pool must close every
+    worker connection, so no daemon keeps grinding for a coordinator
+    that has gone away."""
+    workers = fake_workers("good", "hang")
+    outcomes = run_tasks(
+        [{"cell": i} for i in range(4)], execute_campaign_payload,
+        pool=fake_coordinator(workers),
+    )
+    first = next(outcomes)
+    assert first.ok
+
+    outcomes.close()
+    hung_up = [w.hung_up.wait(10) for w in workers]
+    assert all(hung_up), "a worker connection outlived close()"
