@@ -9,8 +9,8 @@ failures aimed at a window, not at a time.
 A :class:`PhaseTrigger` names a window from
 :data:`repro.machine.TRIGGER_WINDOWS`, a target (a concrete node, the
 episode leader, or a random live node) and an optional delay.  The
-:class:`TriggerInjector` registers as a coordinator window listener;
-when the machine enters the trigger's window for the configured
+:class:`TriggerInjector` subscribes to ``Machine.observers``; when the
+machine enters the trigger's window for the configured
 occurrence, it schedules the failure.  Targets are resolved and
 liveness is re-checked *at fire time* — the leader may have changed, or
 the target may already be dead — in which case the trigger becomes a
@@ -94,7 +94,7 @@ class PhaseTrigger:
 
 
 class TriggerInjector:
-    """Coordinator window listener that fires :class:`PhaseTrigger`\\ s.
+    """Machine observer that fires :class:`PhaseTrigger`\\ s.
 
     Attach with :func:`attach_trigger_injector` (or call
     :meth:`attach`) *before* ``machine.run()``.
@@ -118,12 +118,12 @@ class TriggerInjector:
         self._pending = list(self.triggers)
 
     def attach(self) -> "TriggerInjector":
-        self.machine.coordinator.window_listeners.append(self._on_window)
+        self.machine.observers.append(self)
         return self
 
-    # -- listener -------------------------------------------------------
+    # -- observer -------------------------------------------------------
 
-    def _on_window(self, window: str) -> None:
+    def on_window(self, window: str) -> None:
         self.windows_entered[window] += 1
         count = self.windows_entered[window]
         due = [
@@ -132,7 +132,7 @@ class TriggerInjector:
         ]
         for trigger in due:
             self._pending.remove(trigger)
-            # always go through the event heap: the listener runs inside
+            # always go through the event heap: the observer runs inside
             # the transition that opened the window, and failing a node
             # synchronously there would mutate coordination state under
             # the very generator performing the transition

@@ -96,9 +96,10 @@ class RunResult:
 
 
 #: Named protocol windows, in the order a run traverses them.  Entering
-#: a window notifies ``Coordinator.window_listeners`` — the hook behind
-#: phase-targeted fault injection (repro.fault.triggers) and the
-#: campaign's phase-coverage accounting.
+#: a window calls ``on_window(name)`` on every ``Machine.observers``
+#: subscriber that has it — the hook behind phase-targeted fault
+#: injection (repro.fault.triggers) and the campaign's phase-coverage
+#: accounting.
 TRIGGER_WINDOWS = (
     "ckpt_sync",      # establishment requested, participants synchronising
     "ckpt_create",    # parallel create phase (Pre-Commit copies placed)
@@ -106,8 +107,9 @@ TRIGGER_WINDOWS = (
     "recovery_scan",  # parallel per-node recovery scans
     "reconfig",       # metadata rebuild + singleton re-replication
     # the reliable transport crossed its suspicion threshold toward one
-    # destination (consecutive retransmission timeouts) — only entered
-    # on an unreliable interconnect (repro.network.transport)
+    # destination (consecutive retransmission timeouts), entered by the
+    # machine's suspicion handler — only on an unreliable interconnect
+    # (repro.network.transport)
     "transport_retry_storm",
     # elastic membership (only entered on machines built with
     # ``initial_members < n_nodes`` or driven by a membership plan)
@@ -145,10 +147,6 @@ class Coordinator:
         self.rec_phase = "idle"  # idle | scan | reconfig
         self.recovery_done: EventFlag | None = None
         self.rec_barrier: MemberBarrier | None = None
-
-        #: Callables invoked with a window name from ``TRIGGER_WINDOWS``
-        #: whenever the coordination protocol enters that window.
-        self.window_listeners: list = []
 
         self._work_flags: dict[int, EventFlag] = {}
         self._revival_flags: dict[int, EventFlag] = {}
@@ -262,7 +260,7 @@ class Coordinator:
         if target not in self.participants:
             raise ValueError(f"handoff target {target} is not a participant")
         self.preferred_leader[kind] = target
-        self._enter_window("leader_handoff")
+        self.machine.notify("on_window", "leader_handoff")
         if kind == "ckpt":
             if self.ckpt_requested and self.ckpt_phase in ("sync", "create"):
                 self.ckpt_leader = target
@@ -293,16 +291,6 @@ class Coordinator:
         for flag in flags.values():
             flag.fire()
 
-    def _enter_window(self, window: str) -> None:
-        """The protocol entered a named window; tell the listeners.
-
-        Listeners run at the entry instant, inside the transition that
-        opened the window — anything they schedule (e.g. a targeted
-        failure) lands while the window is genuinely open.
-        """
-        for listener in list(self.window_listeners):
-            listener(window)
-
     # -- checkpoints ----------------------------------------------------------
 
     def request_checkpoint(self) -> EventFlag | None:
@@ -322,7 +310,7 @@ class Coordinator:
         )
         self.ckpt_leader = self._pick_leader("ckpt")
         self._wake_parked()
-        self._enter_window("ckpt_sync")
+        self.machine.notify("on_window", "ckpt_sync")
         return self.ckpt_done
 
     def participate_checkpoint(self, node_id: int) -> Generator[object, object, None]:
@@ -342,7 +330,7 @@ class Coordinator:
         if self.ckpt_phase != "create":
             self.ckpt_phase = "create"
             recovery.begin_establishment()
-            self._enter_window("ckpt_create")
+            machine.notify("on_window", "ckpt_create")
 
         if node.alive and not self.ckpt_abort:
             try:
@@ -362,7 +350,7 @@ class Coordinator:
         t_mid = self.engine.now
         if self.ckpt_phase != "commit":
             self.ckpt_phase = "commit"
-            self._enter_window("ckpt_commit")
+            machine.notify("on_window", "ckpt_commit")
 
         aborted = self.ckpt_abort
         if node.alive and not aborted:
@@ -390,12 +378,12 @@ class Coordinator:
             if not aborted:
                 ms.n_checkpoints += 1
                 machine.snapshot_streams()
-                machine.notify_verifiers("on_establishment_complete")
+                machine.notify("on_establishment_complete")
             elif not self.recovery_requested:
                 # failure-free abort: the Pre-Commit copies were
                 # reverted; a failure-triggered abort instead leaves
                 # them for the recovery scan, which notifies on its own
-                machine.notify_verifiers("on_establishment_aborted")
+                machine.notify("on_establishment_aborted")
             self.ckpt_phase = "idle"
             self.ckpt_requested = False
             done_flag.fire()
@@ -435,7 +423,7 @@ class Coordinator:
         t0 = self.engine.now
         if self.rec_phase != "scan":
             self.rec_phase = "scan"
-            self._enter_window("recovery_scan")
+            machine.notify("on_window", "recovery_scan")
         cost = recovery.scan_node(node_id)
         node.stats.recovery_scan_cycles += cost
         if cost:
@@ -448,7 +436,7 @@ class Coordinator:
 
         if node_id == self.rec_leader:
             self.rec_phase = "reconfig"
-            self._enter_window("reconfig")
+            machine.notify("on_window", "reconfig")
             yield from recovery.reconfigure()
             machine.rewind_streams()
             machine.stats.n_recoveries += 1
@@ -456,7 +444,7 @@ class Coordinator:
             self.rec_phase = "idle"
             self.recovery_requested = False
             machine.after_recovery()
-            machine.notify_verifiers("on_recovery_complete")
+            machine.notify("on_recovery_complete")
             done_flag.fire()
         else:
             yield done_flag
@@ -519,6 +507,9 @@ class Machine:
         )
         self.directory = Directory(config.n_nodes, config.items_per_page)
         self.rng = random.Random(config.seed)
+        #: Subscribers to the machine's events (see :meth:`notify`): the
+        #: trigger injector, the invariant observer, the value oracle.
+        self.observers: list = []
         self.stats = MachineStats(node_stats=[n.stats for n in self.nodes])
         # the protocols ride on the reliable transport, never on the raw
         # fabric; with every fault rate at zero it is pure pass-through
@@ -550,9 +541,6 @@ class Machine:
         # dispatched events
         self.transport.engine = self.engine
         self.transport.on_suspect = self._on_transport_suspect
-        self.transport.on_retry_storm = lambda: self.coordinator._enter_window(
-            "transport_retry_storm"
-        )
 
         # wire workload streams to processors (stream p -> node p % N);
         # streams homed on an unjoined slot are fostered on a member
@@ -579,11 +567,6 @@ class Machine:
         self._permanently_dead: set[int] = set()
         self._pending_revival: dict[int, int] = {}  # node -> ready time
         self._detected: set[int] = set()
-
-        #: Attached verification observers (repro.verify).  Each hook may
-        #: implement on_establishment_complete / on_establishment_aborted /
-        #: on_failure / on_recovery_complete; missing methods are skipped.
-        self.verify_hooks: list = []
 
         # fault-tolerance machinery only exists on the ECP machine
         if checkpointing is None:
@@ -617,11 +600,20 @@ class Machine:
 
         self._started = False
 
-    # -- verification hooks (repro.verify) -------------------------------------
+    # -- observers --------------------------------------------------------------
 
-    def notify_verifiers(self, event: str, *args) -> None:
-        for hook in self.verify_hooks:
-            handler = getattr(hook, event, None)
+    def notify(self, event: str, *args) -> None:
+        """Call ``event(*args)`` on every subscriber that implements it.
+
+        The events: ``on_window(name)`` (a ``TRIGGER_WINDOWS`` entry),
+        ``on_failure(node_id)``, ``on_establishment_complete()``,
+        ``on_establishment_aborted()`` and ``on_recovery_complete()``.
+        Subscribers run at the event instant, inside the transition that
+        raised it — anything they schedule (e.g. a targeted failure)
+        lands while a window is genuinely open.
+        """
+        for subscriber in self.observers:
+            handler = getattr(subscriber, event, None)
             if handler is not None:
                 handler(*args)
 
@@ -629,19 +621,13 @@ class Machine:
         """Attach a runtime invariant observer (see repro.verify)."""
         from repro.verify.observer import InvariantObserver
 
-        observer = InvariantObserver(self, raise_on_violation=raise_on_violation)
-        observer.attach()
-        self.verify_hooks.append(observer)
-        return observer
+        return InvariantObserver(self, raise_on_violation=raise_on_violation).attach()
 
     def attach_oracle(self):
         """Attach a shadow data-value oracle (see repro.verify.values)."""
         from repro.verify.values import VersionOracle
 
-        oracle = VersionOracle(self)
-        oracle.attach()
-        self.verify_hooks.append(oracle)
-        return oracle
+        return VersionOracle(self).attach()
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -756,7 +742,7 @@ class Machine:
             node.join()
             self.stats.n_joins += 1
             self.registry.on_node_joined(node_id)
-            self.coordinator._enter_window("join_catchup")
+            self.notify("on_window", "join_catchup")
             yield from self.recovery.join_node(node_id)
             # admission completes only between coordination episodes
             # (like a transient revival): serving references while the
@@ -844,6 +830,7 @@ class Machine:
         self.engine.schedule(
             self.cfg.ft.detection_latency, lambda: self.detect_failure(node_id)
         )
+        self.notify("on_failure", node_id)
 
     def _on_transport_suspect(self, node_id: int) -> None:
         """The transport crossed its consecutive-timeout threshold
@@ -853,6 +840,7 @@ class Machine:
         generator) and through the idempotent ``detect_failure``, which
         discards it if the node is in fact alive — counted here as a
         spurious suspicion."""
+        self.notify("on_window", "transport_retry_storm")
         if self.nodes[node_id].alive:
             self.stats.spurious_suspicions += 1
         self.engine.schedule(0, lambda: self.detect_failure(node_id))

@@ -33,11 +33,11 @@ checkpoint protocols can be exercised over lossy links:
 
 Escalation, not masking: after ``suspicion_threshold`` *consecutive*
 timeouts toward one destination the transport reports the node as a
-suspected failure through ``on_suspect`` (wired by
-:class:`~repro.machine.Machine` into the same idempotent
-``detect_failure`` path the heartbeat monitor of
-:mod:`repro.fault.detection` uses) and notifies the
-``transport_retry_storm`` trigger window.  The ECP recovery and
+suspected failure through ``on_suspect``.
+:class:`~repro.machine.Machine` wires it to its suspicion handler,
+which enters the ``transport_retry_storm`` trigger window and feeds the
+same idempotent ``detect_failure`` path the heartbeat monitor of
+:mod:`repro.fault.detection` uses.  The ECP recovery and
 reconfiguration machinery — not the transport — decides what happens
 next; a suspicion of a node that is in fact alive is counted as
 ``spurious_suspicions`` and discarded by ``detect_failure``.
@@ -271,9 +271,6 @@ class ReliableTransport:
         #: crosses the suspicion threshold (Machine wires this to the
         #: detection path).
         self.on_suspect = None
-        #: Called with no arguments when a retry storm begins (Machine
-        #: wires this to the ``transport_retry_storm`` trigger window).
-        self.on_retry_storm = None
 
     # -- MeshFabric-compatible passthroughs -----------------------------
 
@@ -439,8 +436,6 @@ class ReliableTransport:
 
     def _suspect(self, dst: int) -> None:
         self.stats.transport_suspicions += 1
-        if self.on_retry_storm is not None:
-            self.on_retry_storm()
         if self.on_suspect is not None:
             self.on_suspect(dst)
 

@@ -82,10 +82,12 @@ class Processor:
         proto_write = protocol.write
         next_ref = self._next_ref
         # compiled-backend hit drain (repro.kernel.compiled); None on
-        # the python backend, and whenever a verify hook is
-        # attached: drained hits never reach the hooks' wrapped
-        # protocol.read/write
-        drain = None if machine.verify_hooks else machine.kernel_drain
+        # the python backend, and whenever protocol.read/write has been
+        # replaced on the instance (the invariant observer, the value
+        # oracle, a test's counter): drained hits never reach such a
+        # wrapper
+        wrapped = "read" in vars(protocol) or "write" in vars(protocol)
+        drain = None if wrapped else machine.kernel_drain
 
         while True:
             if not node.alive:

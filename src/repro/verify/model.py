@@ -574,7 +574,7 @@ def _fail(machine: Machine, node_id: int) -> None:
     machine.directory.wipe_node(node_id)
     machine.ring.mark_dead(node_id)
     machine.coordinator.on_node_failed(node_id)
-    machine.notify_verifiers("on_failure", node_id)
+    machine.notify("on_failure", node_id)
 
 
 def _join(machine: Machine, complete: bool = True) -> None:
@@ -612,7 +612,7 @@ def _recover(machine: Machine) -> None:
     machine.rewind_streams()
     machine.stats.n_recoveries += 1
     machine.coordinator.recovery_requested = False
-    machine.notify_verifiers("on_recovery_complete")
+    machine.notify("on_recovery_complete")
 
 
 def _establish(
@@ -680,7 +680,7 @@ def _establish(
                 if machine.nodes[node_id].alive:
                     recovery.abort_node(node_id)
             if fail_node is None:
-                machine.notify_verifiers("on_establishment_aborted")
+                machine.notify("on_establishment_aborted")
         # with leave_pre_commit the copies stay for the recovery scan
         if joined_mid:
             _join_complete(machine)  # the episode is over: join finishes
@@ -706,7 +706,7 @@ def _establish(
         joined_mid = True
     machine.stats.n_checkpoints += 1
     machine.snapshot_streams()
-    machine.notify_verifiers("on_establishment_complete")
+    machine.notify("on_establishment_complete")
     if joined_mid:
         _join_complete(machine)  # no episode in flight any more
 

@@ -82,6 +82,20 @@ _PHASE_CONTEXT = {
 }
 
 
+def _wrap(obj, name: str, after: Callable[[str, tuple, object], None]) -> None:
+    """Replace ``obj.name`` on the instance with a wrapper that calls
+    ``after(name, args, result)`` once the original returns."""
+    inner = getattr(obj, name)
+
+    def wrapper(*args, **kwargs):
+        result = inner(*args, **kwargs)
+        after(name, args, result)
+        return result
+
+    wrapper.__name__ = f"checked_{name}"
+    setattr(obj, name, wrapper)
+
+
 class InvariantObserver:
     """Checks every protocol transition of one machine."""
 
@@ -186,49 +200,39 @@ class InvariantObserver:
 
     def attach(self) -> "InvariantObserver":
         """Wrap the machine's protocol entry points (checks) and its AM
-        and directory mutators (dirty-set marking) in-place."""
+        and directory mutators (dirty-set marking) in-place, and
+        subscribe to the machine's phase events."""
         if self._wrapped:
             return self
         self._wrapped = True
         machine = self.machine
         protocol = machine.protocol
+        machine.observers.append(self)
 
-        self._wrap(protocol, "read", self._after_op)
-        self._wrap(protocol, "write", self._after_op)
+        _wrap(protocol, "read", self._after_op)
+        _wrap(protocol, "write", self._after_op)
         if hasattr(protocol, "mark_precommit_local"):
-            self._wrap(protocol, "mark_precommit_local", self._after_create_step)
-            self._wrap(protocol, "mark_precommit_replica", self._after_create_step)
-            self._wrap(protocol, "commit_node", self._after_commit)
-            self._wrap(protocol, "abort_establishment_node", self._after_commit)
-            self._wrap(protocol, "recovery_scan_node", self._after_scan)
-        self._wrap(machine, "fail_node", self._after_fail)
+            _wrap(protocol, "mark_precommit_local", self._after_create_step)
+            _wrap(protocol, "mark_precommit_replica", self._after_create_step)
+            _wrap(protocol, "commit_node", self._after_commit)
+            _wrap(protocol, "abort_establishment_node", self._after_commit)
+            _wrap(protocol, "recovery_scan_node", self._after_scan)
 
         for node in machine.nodes:
-            self._wrap(node.am, "set_state", self._touch_arg(0))
-            self._wrap(node.am, "deallocate_page", self._touch_dropped)
-            self._wrap(node.am, "clear", self._touch_all)
+            _wrap(node.am, "set_state", self._touch_arg(0))
+            _wrap(node.am, "deallocate_page", self._touch_dropped)
+            _wrap(node.am, "clear", self._touch_all)
         directory = machine.directory
         # entry() counts as a write: callers mutate the returned entry
-        self._wrap(directory, "entry", self._touch_arg(1))
-        self._wrap(directory, "move_entry", self._touch_arg(0))
-        self._wrap(directory, "drop_entry", self._touch_arg(1))
-        self._wrap(directory, "set_serving_node", self._touch_arg(0))
-        self._wrap(directory, "drop_pointer", self._touch_arg(0))
-        self._wrap(directory, "rebuild_pointer", self._touch_arg(0))
-        self._wrap(directory, "wipe_node", self._touch_all)
-        self._wrap(directory, "clear_all", self._touch_all)
+        _wrap(directory, "entry", self._touch_arg(1))
+        _wrap(directory, "move_entry", self._touch_arg(0))
+        _wrap(directory, "drop_entry", self._touch_arg(1))
+        _wrap(directory, "set_serving_node", self._touch_arg(0))
+        _wrap(directory, "drop_pointer", self._touch_arg(0))
+        _wrap(directory, "rebuild_pointer", self._touch_arg(0))
+        _wrap(directory, "wipe_node", self._touch_all)
+        _wrap(directory, "clear_all", self._touch_all)
         return self
-
-    def _wrap(self, obj, name: str, after: Callable[[str, tuple, object], None]) -> None:
-        inner = getattr(obj, name)
-
-        def wrapper(*args, **kwargs):
-            result = inner(*args, **kwargs)
-            after(name, args, result)
-            return result
-
-        wrapper.__name__ = f"checked_{name}"
-        setattr(obj, name, wrapper)
 
     # -- dirty-set marking ------------------------------------------------
 
@@ -262,10 +266,6 @@ class InvariantObserver:
 
     def _after_scan(self, name: str, args: tuple, _result) -> None:
         self.phase = "recovery"
-        self.check_now(f"{name}{args!r}")
-
-    def _after_fail(self, name: str, args: tuple, _result) -> None:
-        self.failed_window = True
         self.check_now(f"{name}{args!r}")
 
     def _pre_commit_left(self) -> bool:

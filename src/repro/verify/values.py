@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.verify.observer import _wrap
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.machine import Machine
 
@@ -36,7 +38,7 @@ class VersionOracle:
         self.log: list[tuple[str, int, int, int]] = []
         self._attached = False
 
-    # -- event API (also driven by the machine hooks) --------------------
+    # -- event API (fed by the read/write wrappers and Machine.notify) --
 
     def on_read(self, node_id: int, item: int) -> int:
         version = self.versions.get(item, 0)
@@ -53,9 +55,6 @@ class VersionOracle:
         """The new recovery point commits the current versions."""
         self.committed = dict(self.versions)
 
-    def on_failure(self, node_id: int) -> None:  # symmetry with observer
-        pass
-
     def on_recovery_complete(self) -> None:
         """Rollback: visible memory reverts to the committed versions."""
         self.versions = dict(self.committed)
@@ -64,24 +63,16 @@ class VersionOracle:
     # -- wiring ----------------------------------------------------------
 
     def attach(self) -> "VersionOracle":
-        """Wrap the protocol so reads/writes feed the oracle."""
+        """Wrap the protocol so reads/writes feed the oracle, and
+        subscribe to the machine's commit and rollback events."""
         if self._attached:
             return self
         self._attached = True
-        protocol = self.machine.protocol
-        item_of = self.machine.cfg.item_of
-        inner_read, inner_write = protocol.read, protocol.write
-
-        def read(node_id: int, addr: int, now: int) -> int:
-            t = inner_read(node_id, addr, now)
-            self.on_read(node_id, item_of(addr))
-            return t
-
-        def write(node_id: int, addr: int, now: int) -> int:
-            t = inner_write(node_id, addr, now)
-            self.on_write(node_id, item_of(addr))
-            return t
-
-        protocol.read = read
-        protocol.write = write
+        machine = self.machine
+        item_of = machine.cfg.item_of
+        machine.observers.append(self)
+        _wrap(machine.protocol, "read",
+              lambda _name, args, _t: self.on_read(args[0], item_of(args[1])))
+        _wrap(machine.protocol, "write",
+              lambda _name, args, _t: self.on_write(args[0], item_of(args[1])))
         return self

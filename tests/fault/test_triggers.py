@@ -30,7 +30,8 @@ def test_all_windows_entered_on_a_faulty_run():
     """The coverage probe sees every named window on a run with
     checkpoints, one recovery and one membership change.  The transport
     window needs a retry storm, scripted here as three consecutive
-    drops of one message."""
+    drops of one message; it is entered exactly once per crossing of
+    the suspicion threshold."""
     from repro.fault.failures import MembershipEvent
     from repro.network.transport import DeliveryFate
 
@@ -49,6 +50,37 @@ def test_all_windows_entered_on_a_faulty_run():
     m.run()
     for window in TRIGGER_WINDOWS:
         assert probe.windows_entered[window] >= 1, window
+    assert probe.windows_entered["transport_retry_storm"] == (
+        m.stats.transport_suspicions
+    )
+
+
+def test_observers_hear_every_failure_and_phase_window():
+    """Any object on ``machine.observers`` gets the events it implements:
+    one ``on_failure`` per injected failure, and the establishment and
+    restoration windows."""
+
+    class Recorder:
+        def __init__(self):
+            self.failures, self.windows = [], []
+
+        def on_window(self, window):
+            self.windows.append(window)
+
+        def on_failure(self, node_id):
+            self.failures.append(node_id)
+
+    m = ft_machine(plan=[
+        FailurePlan(time=8_000, node=2, repair_delay=1_000),
+        FailurePlan(time=20_000, node=4, permanent=True),
+    ])
+    recorder = Recorder()
+    m.observers.append(recorder)
+    m.run()
+    assert m.stats.n_failures == 2
+    assert recorder.failures == [2, 4]
+    assert {"ckpt_sync", "ckpt_create", "ckpt_commit", "recovery_scan",
+            "reconfig"} <= set(recorder.windows)
 
 
 def test_ckpt_leader_dies_during_commit():

@@ -66,6 +66,6 @@ def do_checkpoint(machine: Machine) -> None:
         if machine.nodes[node_id].alive:
             machine.protocol.commit_node(node_id)
     machine.snapshot_streams()
-    machine.notify_verifiers("on_establishment_complete")
+    machine.notify("on_establishment_complete")
 
 

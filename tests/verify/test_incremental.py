@@ -13,6 +13,7 @@ from repro.coherence.injection import InjectionFailed
 from repro.coherence.standard import ProtocolError
 from repro.config import ArchConfig
 from repro.fault.failures import FailurePlan
+from repro.fault.triggers import attach_trigger_injector
 from repro.kernel import available_backends
 from repro.machine import Machine
 from repro.memory.states import ItemState
@@ -21,6 +22,7 @@ from repro.verify.invariants import check_machine
 from repro.verify.model import ModelConfig, apply_event, build_machine, check
 from repro.verify.mutations import MUTATIONS
 from repro.verify.observer import InvariantObserver
+from repro.workloads import make_workload
 from repro.workloads.synthetic import UniformShared
 from tests.helpers import bare_machine
 
@@ -51,10 +53,7 @@ class FullObserver(InvariantObserver):
 
 
 def _attach(machine, cls):
-    observer = cls(machine, raise_on_violation=False)
-    observer.attach()
-    machine.verify_hooks.append(observer)
-    return observer
+    return cls(machine, raise_on_violation=False).attach()
 
 
 def _shadowed(mutate=None):
@@ -203,15 +202,20 @@ def test_pointer_clear_behind_the_api_is_caught_by_the_membership_audit():
     assert observer.mismatches == []
 
 
-# -------------------------------------------------- hit drain and hooks
+# ------------------------------------------------ hit drain and observers
+
+needs_compiled = pytest.mark.skipif(
+    "compiled" not in available_backends(),
+    reason="compiled kernel extension not built",
+)
 
 
-@pytest.mark.skipif("compiled" not in available_backends(),
-                    reason="compiled kernel extension not built")
-def test_verify_hooks_see_every_reference_under_the_compiled_backend():
+@needs_compiled
+def test_observers_see_every_reference_under_the_compiled_backend():
     """The compiled hit drain consumes cache hits without calling
-    protocol.read/write; with a verify hook attached it must stand down,
-    so checks and the value oracle's log match the python backend's."""
+    protocol.read/write; with the observer and oracle attached it must
+    stand down, so checks and the value oracle's log match the python
+    backend's."""
 
     def run(backend):
         cfg = ArchConfig(n_nodes=6, seed=5).with_ft(
@@ -231,3 +235,52 @@ def test_verify_hooks_see_every_reference_under_the_compiled_backend():
     checks, observed, log = run("python")
     assert run("compiled") == (checks, observed, log)
     assert len([op for op in log if op[0] in "rw"]) > 6 * 300
+
+
+def _water9(backend):
+    cfg = ArchConfig(n_nodes=9, seed=7).with_ft(checkpoint_period_override=20_000)
+    workload = make_workload("water", n_procs=9, scale=0.004, seed=7)
+    return Machine(cfg, workload, protocol="ecp", backend=backend)
+
+
+@needs_compiled
+def test_an_instance_wrapper_on_protocol_read_sees_every_read():
+    """The drain stands down whenever protocol.read/write is replaced on
+    the instance, verifier or not: a bare counting wrapper sees as many
+    reads under compiled as under python."""
+
+    def reads(backend):
+        machine = _water9(backend)
+        inner, calls = machine.protocol.read, []
+
+        def read(*args):
+            calls.append(args[0])
+            return inner(*args)
+
+        machine.protocol.read = read
+        machine.run()
+        return len(calls)
+
+    assert reads("compiled") == reads("python")
+
+
+@needs_compiled
+def test_a_trigger_injector_leaves_the_drain_on():
+    """Subscribing to machine events wraps nothing, so a machine carrying
+    a trigger injector drains exactly the hits a bare machine drains."""
+
+    def drained(machine):
+        inner, total = machine.kernel_drain, [0]
+
+        def drain(*args):
+            hits, t_local = inner(*args)
+            total[0] += hits
+            return hits, t_local
+
+        machine.kernel_drain = drain
+        machine.run()
+        return total[0]
+
+    probed = _water9("compiled")
+    attach_trigger_injector(probed, [])
+    assert drained(probed) == drained(_water9("compiled")) > 0

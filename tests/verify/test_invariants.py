@@ -152,7 +152,6 @@ def test_observer_collect_mode_records_instead_of_raising():
     m = bare_machine(protocol="ecp")
     obs = InvariantObserver(m, raise_on_violation=False)
     obs.attach()
-    m.verify_hooks.append(obs)
     m.protocol.write(0, addr(0), 0)
     m.nodes[0].am.set_state(0, S.SHARED_CK1)  # corrupt: singleton CK primary
     m.protocol.read(1, addr(0), 10_000)
@@ -177,5 +176,5 @@ def test_observer_tracks_establishment_phase():
         if node.node_id != 0:
             m.protocol.commit_node(node.node_id)
     assert obs.phase == "commit"  # until the coordinator announces completion
-    m.notify_verifiers("on_establishment_complete")
+    m.notify("on_establishment_complete")
     assert obs.phase == "normal"
